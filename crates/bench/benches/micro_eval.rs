@@ -26,6 +26,17 @@
 //! * `bitset_and_crossover` — the mutation-free offspring: copy all `D`
 //!   gene bitsets from the two parents, AND, refit.
 //!
+//! **P3** — The Gram build alone, on the selective condition's matched set,
+//! sequentially: the packed, register-tiled kernel behind every evaluation
+//! path against the row-at-a-time rank-1 update it replaced, under the same
+//! chunk discipline.
+//! * `gram_row_wise` — `NormalEqAccumulator::push_row` per matched row.
+//! * `gram_packed` — `parallel::accumulate_from_bitset`, which packs each
+//!   chunk's rows into blocks for `NormalEqAccumulator::push_rows`.
+//!
+//! It asserts the two agree bit for bit (every Gram and `Xᵀy` entry, `Σ y`
+//! and the count) and prints nanoseconds per matched row for each.
+//!
 //! Run: `cargo bench -p evoforecast-bench --bench micro_eval`
 //! The measured numbers behind the PR claims live in `BENCH_PR1.json`
 //! (broad group) and `BENCH_PR2.json` (selective group).
@@ -40,6 +51,7 @@ use evoforecast_linalg::regression::{NormalEqAccumulator, RegressionOptions};
 use evoforecast_tsdata::gen::venice::VeniceTide;
 use evoforecast_tsdata::window::{WindowSpec, WindowedDataset};
 use std::hint::black_box;
+use std::time::Instant;
 
 /// Paper scale for Venice: D = 24 hourly taps, τ = 4 h ahead.
 const D: usize = 24;
@@ -258,5 +270,84 @@ fn bench_delta(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_eval, bench_delta);
+/// The Gram build the packed kernel replaced: one rank-1 `push_row` per set
+/// bit, per [`regress::GRAM_CHUNK`], non-empty chunks merged in order.
+fn gram_row_wise(
+    bits: &MatchBitset,
+    ds: &WindowedDataset<'_>,
+    opts: RegressionOptions,
+) -> NormalEqAccumulator {
+    let mut acc = NormalEqAccumulator::new(D, opts.intercept);
+    let mut part = NormalEqAccumulator::new(D, opts.intercept);
+    let mut chunk = 0;
+    for i in bits.iter_ones() {
+        if i / regress::GRAM_CHUNK != chunk {
+            if part.count() > 0 {
+                acc.merge(&part);
+            }
+            part = NormalEqAccumulator::new(D, opts.intercept);
+            chunk = i / regress::GRAM_CHUNK;
+        }
+        part.push_row(ds.features(i), ds.target(i));
+    }
+    if part.count() > 0 {
+        acc.merge(&part);
+    }
+    acc
+}
+
+fn bench_gram(c: &mut Criterion) {
+    let values = series();
+    let ds = WindowSpec::new(D, TAU).unwrap().dataset(&values).unwrap();
+    let cond = selective_condition(&ds);
+    let opts = RegressionOptions::fast();
+    let (bits, _) = parallel::match_and_accumulate(&cond, &ds, opts, usize::MAX);
+    let k = bits.count_ones();
+
+    let packed = parallel::accumulate_from_bitset(&bits, &ds, opts, usize::MAX);
+    let row_wise = gram_row_wise(&bits, &ds, opts);
+    assert_eq!(packed.count(), row_wise.count());
+    assert_eq!(
+        packed.sum_targets().to_bits(),
+        row_wise.sum_targets().to_bits()
+    );
+    let bits_of = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits_of(packed.gram()), bits_of(row_wise.gram()), "Gram");
+    assert_eq!(bits_of(packed.xty()), bits_of(row_wise.xty()), "Xᵀy");
+
+    const REPS: usize = 2_000;
+    let ns_per_row = |f: &dyn Fn() -> NormalEqAccumulator| {
+        let start = Instant::now();
+        for _ in 0..REPS {
+            black_box(f());
+        }
+        start.elapsed().as_nanos() as f64 / (REPS * k) as f64
+    };
+    let row_ns = ns_per_row(&|| gram_row_wise(black_box(&bits), &ds, opts));
+    let packed_ns =
+        ns_per_row(&|| parallel::accumulate_from_bitset(black_box(&bits), &ds, opts, usize::MAX));
+    eprintln!(
+        "gram over {k} matched rows: row-wise {row_ns:.1} ns/row, packed {packed_ns:.1} ns/row ({:.2}x)",
+        row_ns / packed_ns
+    );
+
+    let mut g = c.benchmark_group(format!("gram_venice_{k}_matched"));
+    g.sample_size(10);
+    g.bench_function("gram_row_wise", |b| {
+        b.iter(|| black_box(gram_row_wise(black_box(&bits), &ds, opts)))
+    });
+    g.bench_function("gram_packed", |b| {
+        b.iter(|| {
+            black_box(parallel::accumulate_from_bitset(
+                black_box(&bits),
+                &ds,
+                opts,
+                usize::MAX,
+            ))
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_eval, bench_delta, bench_gram);
 criterion_main!(benches);

@@ -138,14 +138,7 @@ impl MatchBitset {
 
     /// Iterate the members in ascending order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &word)| {
-            let base = wi * 64;
-            std::iter::successors((word != 0).then_some(word), |w| {
-                let next = w & (w - 1); // clear lowest set bit
-                (next != 0).then_some(next)
-            })
-            .map(move |w| base + w.trailing_zeros() as usize)
-        })
+        ones_in_words(&self.words, 0)
     }
 
     /// Materialize the members as a sorted index list.
@@ -196,6 +189,19 @@ impl MatchBitset {
     pub(crate) fn words_mut(&mut self) -> &mut [u64] {
         &mut self.words
     }
+}
+
+/// Members encoded by `words`, ascending, where `words[0]` is word
+/// `first_word` of the universe — one chunk's slice of [`MatchBitset::words`].
+pub(crate) fn ones_in_words(words: &[u64], first_word: usize) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(move |(wi, &word)| {
+        let base = (first_word + wi) * 64;
+        std::iter::successors((word != 0).then_some(word), |w| {
+            let next = w & (w - 1); // clear lowest set bit
+            (next != 0).then_some(next)
+        })
+        .map(move |w| base + w.trailing_zeros() as usize)
+    })
 }
 
 #[cfg(test)]

@@ -324,9 +324,14 @@ impl<E: ExampleSet> GenericEngine<E> {
     /// from the donor parent, tracked mutation recomputes only the rewritten
     /// genes, the full match set is a selectivity-ordered AND, and the Gram /
     /// `Xᵀy` are rebuilt over the resulting set bits through the standard
-    /// chunk discipline. Zero allocation per generation: all buffers live in
-    /// [`DeltaState`] and are swapped — not cloned — into the population
-    /// slots on replacement.
+    /// chunk discipline. The match-set buffers (per-gene bitsets and the
+    /// full set) live in [`DeltaState`] and are swapped — not cloned — into
+    /// the population slots on replacement, so they are never reallocated.
+    /// The refit still allocates every generation:
+    /// [`crate::parallel::accumulate_from_bitset`] makes one
+    /// `NormalEqAccumulator` (three `Vec`s) per chunk, the `Vec` of chunk
+    /// parts and one row-pack block per call (per worker when parallel), and
+    /// the solve allocates its system matrix, factor and coefficients.
     fn offspring_delta(&mut self, ia: usize, ib: usize) -> bool {
         // audit: allow(panic-freedom) — delta is always restored before return; take/put pairs are local to this fn
         let mut delta = self.delta.take().expect("delta state present");

@@ -13,11 +13,11 @@
 //! indexed `filter`/`map` preserve order, so they do — the determinism test
 //! below pins that).
 
-use crate::bitset::MatchBitset;
+use crate::bitset::{ones_in_words, MatchBitset};
 use crate::dataset::ExampleSet;
 use crate::regress::GRAM_CHUNK;
 use crate::rule::Condition;
-use evoforecast_linalg::regression::{NormalEqAccumulator, RegressionOptions};
+use evoforecast_linalg::regression::{NormalEqAccumulator, RegressionOptions, RowPack};
 use rayon::prelude::*;
 
 /// Indices of the training windows matched by a condition, parallelized when
@@ -40,31 +40,66 @@ pub fn match_indices<E: ExampleSet>(
     }
 }
 
-/// Fused match + normal-equation accumulation over one [`GRAM_CHUNK`] of
-/// windows: bits and Gram rows are produced in ascending window order.
-fn accumulate_chunk<E: ExampleSet>(
-    condition: &Condition,
+/// The one packing helper behind every accumulation path: push the windows
+/// `rows` (ascending, all inside one [`GRAM_CHUNK`]) into a fresh chunk
+/// accumulator through the packed, register-tiled Gram kernel
+/// ([`NormalEqAccumulator::push_rows`]).
+fn accumulate_rows<E: ExampleSet>(
     data: &E,
-    chunk: usize,
+    rows: impl Iterator<Item = usize>,
+    pack: &mut RowPack,
     opts: RegressionOptions,
-) -> (NormalEqAccumulator, Vec<u64>) {
-    let start = chunk * GRAM_CHUNK;
-    let end = (start + GRAM_CHUNK).min(data.len());
-    let mut acc = NormalEqAccumulator::new(data.feature_len(), opts.intercept);
-    let mut words = vec![0u64; (end - start).div_ceil(64)];
-    for i in start..end {
-        let w = data.features(i);
-        if condition.matches(w) {
+) -> NormalEqAccumulator {
+    let mut part = NormalEqAccumulator::new(data.feature_len(), opts.intercept);
+    part.push_rows(
+        pack,
+        rows.map(|i| {
             debug_assert!(
-                w.iter().all(|x| x.is_finite()) && data.target(i).is_finite(),
-                "non-finite example at index {i} reached the fused kernel"
+                data.features(i).iter().all(|x| x.is_finite()) && data.target(i).is_finite(),
+                "non-finite example at index {i} reached the Gram kernel"
             );
-            acc.push_row(w, data.target(i));
-            let local = i - start;
-            words[local / 64] |= 1u64 << (local % 64);
+            (data.features(i), data.target(i))
+        }),
+    );
+    part
+}
+
+/// Run `chunk` over every [`GRAM_CHUNK`] of an `n`-window dataset, in
+/// parallel when `n >= threshold`, with one [`RowPack`] per call
+/// (sequential) or per worker (parallel). Results come back in chunk order.
+/// A `RowPack` allocates nothing until it is first used, so callers that do
+/// not accumulate just ignore it.
+fn map_chunks<R, F>(n: usize, threshold: usize, chunk: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(&mut RowPack, usize) -> R + Send + Sync,
+{
+    let chunks = n.div_ceil(GRAM_CHUNK);
+    if n < threshold {
+        let mut pack = RowPack::new();
+        (0..chunks).map(|c| chunk(&mut pack, c)).collect()
+    } else {
+        (0..chunks)
+            .into_par_iter()
+            .map_init(RowPack::new, chunk)
+            .collect()
+    }
+}
+
+/// Merge per-chunk accumulators in ascending chunk order, skipping empty
+/// ones — the canonical reduce every path shares.
+fn merge_parts(
+    parts: impl IntoIterator<Item = NormalEqAccumulator>,
+    d: usize,
+    opts: RegressionOptions,
+) -> NormalEqAccumulator {
+    let mut acc = NormalEqAccumulator::new(d, opts.intercept);
+    for part in parts {
+        if part.count() > 0 {
+            acc.merge(&part);
         }
     }
-    (acc, words)
+    acc
 }
 
 /// Single-pass evaluation front half: match `condition` against every window
@@ -73,11 +108,12 @@ fn accumulate_chunk<E: ExampleSet>(
 /// chunks when the dataset has at least `threshold` windows.
 ///
 /// The chunk structure — not the thread count — determines the
-/// floating-point summation order: per-chunk accumulators always merge in
-/// ascending chunk order, skipping empty chunks, so the sequential path,
-/// the parallel path and the index path
+/// floating-point summation order: each chunk's rows go through the packed
+/// kernel in ascending window order, and per-chunk accumulators always merge
+/// in ascending chunk order, skipping empty chunks. So the sequential path,
+/// the parallel path, the index path
 /// ([`crate::matchindex::MatchIndex::match_accumulate_with_parallel_fallback`])
-/// return bit-identical results.
+/// and [`accumulate_from_bitset`] return bit-identical results.
 pub fn match_and_accumulate<E: ExampleSet>(
     condition: &Condition,
     data: &E,
@@ -85,42 +121,33 @@ pub fn match_and_accumulate<E: ExampleSet>(
     threshold: usize,
 ) -> (MatchBitset, NormalEqAccumulator) {
     let n = data.len();
-    let chunks = n.div_ceil(GRAM_CHUNK);
-    let parts: Vec<(NormalEqAccumulator, Vec<u64>)> = if n < threshold {
-        (0..chunks)
-            .map(|c| accumulate_chunk(condition, data, c, opts))
-            .collect()
-    } else {
-        (0..chunks)
-            .into_par_iter()
-            .map(|c| accumulate_chunk(condition, data, c, opts))
-            .collect()
-    };
-    stitch_chunks(parts, data.feature_len(), n, opts)
-}
-
-/// Merge per-chunk results in ascending chunk order (the canonical reduce).
-fn stitch_chunks(
-    parts: Vec<(NormalEqAccumulator, Vec<u64>)>,
-    d: usize,
-    n: usize,
-    opts: RegressionOptions,
-) -> (MatchBitset, NormalEqAccumulator) {
+    let parts = map_chunks(n, threshold, |pack, c| {
+        let start = c * GRAM_CHUNK;
+        let end = (start + GRAM_CHUNK).min(n);
+        let mut words = vec![0u64; (end - start).div_ceil(64)];
+        let matched = (start..end)
+            .filter(|&i| condition.matches(data.features(i)))
+            .inspect(|&i| words[(i - start) / 64] |= 1u64 << ((i - start) % 64));
+        let part = accumulate_rows(data, matched, pack, opts);
+        (part, words)
+    });
     let mut bits = MatchBitset::new(n);
-    let mut acc = NormalEqAccumulator::new(d, opts.intercept);
-    for (chunk, (part, words)) in parts.into_iter().enumerate() {
-        if part.count() > 0 {
-            acc.merge(&part);
-        }
-        bits.splice_words(chunk * (GRAM_CHUNK / 64), &words);
+    for (chunk, (_, words)) in parts.iter().enumerate() {
+        bits.splice_words(chunk * (GRAM_CHUNK / 64), words);
     }
+    let acc = merge_parts(
+        parts.into_iter().map(|(part, _)| part),
+        data.feature_len(),
+        opts,
+    );
     (bits, acc)
 }
 
 /// Accumulate the normal equations over an explicit ascending matched-index
-/// list — the index-assisted entry into the fused path. Produces exactly the
-/// per-chunk accumulate/merge sequence of [`match_and_accumulate`], so the
-/// two agree bit-for-bit on the same match set.
+/// list — the index-assisted entry into the fused path. Each chunk's run of
+/// indices goes through the same packing helper and merge as
+/// [`match_and_accumulate`], so the two agree bit-for-bit on the same match
+/// set.
 ///
 /// # Panics
 /// Panics (in debug builds) when `indices` is not sorted ascending.
@@ -133,36 +160,28 @@ pub fn accumulate_sorted_indices<E: ExampleSet>(
         indices.windows(2).all(|w| w[0] < w[1]),
         "indices must be sorted"
     );
-    let n = data.len();
-    let d = data.feature_len();
-    let mut bits = MatchBitset::new(n);
-    let mut acc = NormalEqAccumulator::new(d, opts.intercept);
-    let mut pos = 0usize;
-    while pos < indices.len() {
-        let chunk = indices[pos] / GRAM_CHUNK;
-        let chunk_end = (chunk + 1) * GRAM_CHUNK;
-        let mut part = NormalEqAccumulator::new(d, opts.intercept);
-        while pos < indices.len() && indices[pos] < chunk_end {
-            let i = indices[pos];
-            part.push_row(data.features(i), data.target(i));
-            bits.set(i);
-            pos += 1;
-        }
-        acc.merge(&part);
-    }
+    let mut bits = MatchBitset::new(data.len());
+    let mut pack = RowPack::new();
+    let parts = indices
+        .chunk_by(|a, b| a / GRAM_CHUNK == b / GRAM_CHUNK)
+        .map(|run| {
+            for &i in run {
+                bits.set(i);
+            }
+            accumulate_rows(data, run.iter().copied(), &mut pack, opts)
+        });
+    let acc = merge_parts(parts, data.feature_len(), opts);
     (bits, acc)
 }
 
 /// Accumulate the normal equations over the set bits of an already-known
 /// match set — the delta-evaluation entry into the fused path, where the
 /// match set was produced by ANDing per-gene bitsets rather than by
-/// rescanning rows. Walks each [`GRAM_CHUNK`]'s words (chunk boundaries are
-/// word-aligned), pushing rows in ascending window order, and merges the
-/// per-chunk parts in ascending chunk order skipping empty ones — exactly
-/// the discipline of [`match_and_accumulate`] /
-/// [`accumulate_sorted_indices`], so all three agree bit-for-bit on the same
-/// match set. Parallelized over chunks when the dataset has at least
-/// `threshold` windows.
+/// rescanning rows. Each [`GRAM_CHUNK`]'s set bits (chunk boundaries are
+/// word-aligned) go through the same packing helper and merge as
+/// [`match_and_accumulate`] / [`accumulate_sorted_indices`], so all three
+/// agree bit-for-bit on the same match set. Parallelized over chunks when
+/// the dataset has at least `threshold` windows.
 ///
 /// # Panics
 /// Panics (in debug builds) when the bitset universe differs from the
@@ -175,45 +194,14 @@ pub fn accumulate_from_bitset<E: ExampleSet>(
 ) -> NormalEqAccumulator {
     let n = data.len();
     debug_assert_eq!(bits.len(), n, "bitset universe mismatch");
-    let d = data.feature_len();
-    let chunks = n.div_ceil(GRAM_CHUNK);
     let words_per_chunk = GRAM_CHUNK / 64;
     let words = bits.words();
-    let chunk_acc = |c: usize| {
-        let word_start = c * words_per_chunk;
-        let word_end = (word_start + words_per_chunk).min(words.len());
-        let mut part = NormalEqAccumulator::new(d, opts.intercept);
-        for (wi, &word) in words[word_start..word_end].iter().enumerate() {
-            let base = (word_start + wi) * 64;
-            let mut w = word;
-            while w != 0 {
-                let i = base + w.trailing_zeros() as usize;
-                debug_assert!(
-                    i < n,
-                    "bitset has a set bit at {i} beyond the dataset length {n}"
-                );
-                debug_assert!(
-                    data.features(i).iter().all(|x| x.is_finite()) && data.target(i).is_finite(),
-                    "non-finite example at index {i} reached the delta kernel"
-                );
-                part.push_row(data.features(i), data.target(i));
-                w &= w - 1;
-            }
-        }
-        part
-    };
-    let parts: Vec<NormalEqAccumulator> = if n < threshold {
-        (0..chunks).map(chunk_acc).collect()
-    } else {
-        (0..chunks).into_par_iter().map(chunk_acc).collect()
-    };
-    let mut acc = NormalEqAccumulator::new(d, opts.intercept);
-    for part in parts {
-        if part.count() > 0 {
-            acc.merge(&part);
-        }
-    }
-    acc
+    let parts = map_chunks(n, threshold, |pack, c| {
+        let first = c * words_per_chunk;
+        let chunk_words = &words[first..(first + words_per_chunk).min(words.len())];
+        accumulate_rows(data, ones_in_words(chunk_words, first), pack, opts)
+    });
+    merge_parts(parts, data.feature_len(), opts)
 }
 
 /// Matched windows as a bitset (no regression accumulation) — used for the
@@ -225,8 +213,7 @@ pub fn match_bitset<E: ExampleSet>(
     threshold: usize,
 ) -> MatchBitset {
     let n = data.len();
-    let chunks = n.div_ceil(GRAM_CHUNK);
-    let word_chunk = |c: usize| {
+    let parts = map_chunks(n, threshold, |_, c| {
         let start = c * GRAM_CHUNK;
         let end = (start + GRAM_CHUNK).min(n);
         let mut words = vec![0u64; (end - start).div_ceil(64)];
@@ -237,12 +224,7 @@ pub fn match_bitset<E: ExampleSet>(
             }
         }
         words
-    };
-    let parts: Vec<Vec<u64>> = if n < threshold {
-        (0..chunks).map(word_chunk).collect()
-    } else {
-        (0..chunks).into_par_iter().map(word_chunk).collect()
-    };
+    });
     let mut bits = MatchBitset::new(n);
     for (chunk, words) in parts.into_iter().enumerate() {
         bits.splice_words(chunk * (GRAM_CHUNK / 64), &words);

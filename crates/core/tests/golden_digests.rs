@@ -1,0 +1,57 @@
+//! Golden rule digests: two small seeded engine runs on the Venice τ=4 task
+//! whose evolved rule sets are pinned by committed FNV-1a digests of their
+//! canonical JSON.
+//!
+//! The series is chaotic enough that any change to a floating-point
+//! summation order — in the Gram build, the solve or the residual pass —
+//! grows into different rules within a few hundred generations. A kernel
+//! rewrite that claims to be bit-identical must leave both digests alone.
+//!
+//! * `sequential_run_*` trains below `parallel_threshold`, so every Gram goes
+//!   through the sequential chunk loop.
+//! * `parallel_run_*` trains on more than 8 192 windows, so every Gram goes
+//!   through the rayon-parallel chunk path of `core::parallel`.
+
+use evoforecast_core::checkpoint::fingerprint_json;
+use evoforecast_core::prelude::*;
+use evoforecast_tsdata::gen::venice::VeniceTide;
+use evoforecast_tsdata::window::WindowSpec;
+
+/// Digest of the rules evolved below the parallel threshold.
+const SEQUENTIAL_DIGEST: u64 = 0x37ea_9da8_4d64_b021;
+/// Digest of the rules evolved above the parallel threshold.
+const PARALLEL_DIGEST: u64 = 0x25dd_3ee4_39b3_2a02;
+
+/// Train on `hours` of the Venice series (data seed 2007) with D=24, τ=4
+/// and return the rule-set digest plus the number of training windows.
+fn evolve(hours: usize, population: usize, generations: usize) -> (u64, usize) {
+    let series = VeniceTide::default().generate(hours, 2007);
+    let values = series.values();
+    let spec = WindowSpec::new(24, 4).unwrap();
+    let config = EngineConfig::for_series(values, spec)
+        .with_population(population)
+        .with_generations(generations)
+        .with_seed(2011);
+    let threshold = config.parallel_threshold;
+    let mut engine = Engine::new(config, values).unwrap();
+    let rules = engine.run();
+    assert!(engine.stats().replacements > 0, "the run must evolve rules");
+    let windows = spec.dataset(values).unwrap().len();
+    let digest = fingerprint_json(&serde_json::to_string(&rules).unwrap());
+    println!("hours {hours}: {windows} windows (threshold {threshold}), digest {digest:#018x}");
+    (digest, windows)
+}
+
+#[test]
+fn sequential_run_reproduces_its_golden_digest() {
+    let (digest, windows) = evolve(3_000, 30, 1_500);
+    assert!(windows < 8_192, "run must stay on the sequential path");
+    assert_eq!(digest, SEQUENTIAL_DIGEST, "got {digest:#018x}");
+}
+
+#[test]
+fn parallel_run_reproduces_its_golden_digest() {
+    let (digest, windows) = evolve(9_000, 30, 600);
+    assert!(windows >= 8_192, "run must go through core::parallel");
+    assert_eq!(digest, PARALLEL_DIGEST, "got {digest:#018x}");
+}

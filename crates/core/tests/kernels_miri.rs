@@ -4,8 +4,8 @@
 //! Everything here is small and deterministic: Miri interprets every
 //! instruction, so these tests trade breadth for being cheap enough to
 //! retire undefined-behavior risk in the word-twiddling kernels — the
-//! bitset, the compiled predictor's columnar scan, and the checkpoint
-//! byte round-trip (the one test that touches the filesystem; the CI job
+//! bitset, the compiled predictor's columnar scan, the packed Gram kernel's
+//! tile indexing, and the checkpoint byte round-trip (the one test that touches the filesystem; the CI job
 //! sets `MIRIFLAGS=-Zmiri-disable-isolation` for it).
 
 use evoforecast_core::checkpoint::{
@@ -13,6 +13,7 @@ use evoforecast_core::checkpoint::{
 };
 use evoforecast_core::prelude::*;
 use evoforecast_core::{CompiledRuleSet, MatchBitset};
+use evoforecast_linalg::regression::{NormalEqAccumulator, RowPack};
 
 /// Tiny deterministic generator so the patterns exercise word boundaries
 /// without depending on any ambient entropy.
@@ -213,4 +214,40 @@ fn fingerprints_are_stable_across_calls_and_inputs_distinct() {
     let spec = evoforecast_tsdata::window::WindowSpec::new(3, 1).expect("spec");
     let config = EnsembleConfig::new(EngineConfig::for_series(&series, spec));
     assert_eq!(config.fingerprint(), config.fingerprint());
+}
+
+#[test]
+fn packed_gram_kernel_matches_rank_one_updates_bit_for_bit() {
+    // d = 5 with an intercept: 6 columns + y pad to a stride of 8, so the
+    // tiles include a diagonal one, an Xᵀy column and padding. 520 rows
+    // cross the 512-row block boundary; every fifth value is an exact zero
+    // of either sign.
+    let mut rng = Lcg(0x6a4d);
+    let value = |rng: &mut Lcg| match rng.next() % 10 {
+        0 => 0.0,
+        1 => -0.0,
+        k => (k as f64 - 5.5) * (rng.next() >> 40) as f64 * 1e-3,
+    };
+    let rows: Vec<(Vec<f64>, f64)> = (0..520)
+        .map(|_| ((0..5).map(|_| value(&mut rng)).collect(), value(&mut rng)))
+        .collect();
+    for intercept in [true, false] {
+        let mut oracle = NormalEqAccumulator::new(5, intercept);
+        for (x, y) in &rows {
+            oracle.push_row(x, *y);
+        }
+        let mut packed = NormalEqAccumulator::new(5, intercept);
+        packed.push_rows(
+            &mut RowPack::new(),
+            rows.iter().map(|(x, y)| (x.as_slice(), *y)),
+        );
+        assert_eq!(packed.count(), oracle.count());
+        assert_eq!(
+            packed.sum_targets().to_bits(),
+            oracle.sum_targets().to_bits()
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(packed.gram()), bits(oracle.gram()), "Gram");
+        assert_eq!(bits(packed.xty()), bits(oracle.xty()), "Xᵀy");
+    }
 }

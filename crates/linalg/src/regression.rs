@@ -238,6 +238,86 @@ impl LinearRegression {
     }
 }
 
+/// Width of one register tile of the packed Gram kernel: a `4 x 4` tile is
+/// 16 accumulators, eight SSE2 registers.
+const TILE: usize = 4;
+
+/// `f64`s in one packed row block (32 KiB, about one L1 data cache), so a
+/// block stays cached while every tile streams over it.
+const PACK_BLOCK_LEN: usize = 4096;
+
+/// Packed row length for an augmented design of `p` columns: the columns,
+/// the target, zero padding up to a multiple of [`TILE`].
+fn packed_stride(p: usize) -> usize {
+    (p + 1).next_multiple_of(TILE)
+}
+
+/// Rows per packed block for an augmented design of `p` columns.
+fn block_rows(p: usize) -> usize {
+    (PACK_BLOCK_LEN / packed_stride(p)).max(1)
+}
+
+/// Add every row's products for the tile at columns `(ca, cb)` to `tile`,
+/// row by row. Kept out of line so the 16 accumulators get the registers to
+/// themselves.
+#[inline(never)]
+fn stream_tile(
+    mut tile: [[f64; TILE]; TILE],
+    block: &[f64],
+    stride: usize,
+    ca: usize,
+    cb: usize,
+) -> [[f64; TILE]; TILE] {
+    for row in block.chunks_exact(stride) {
+        let a = &row[ca..ca + TILE];
+        let b = &row[cb..cb + TILE];
+        for i in 0..TILE {
+            for j in 0..TILE {
+                tile[i][j] += a[i] * b[j];
+            }
+        }
+    }
+    tile
+}
+
+/// Scratch for [`NormalEqAccumulator::push_rows`]: one block of packed rows.
+///
+/// The intercept `1.0`s and the zero padding are the same in every row of a
+/// given shape, so they are written once when the shape changes and only
+/// the features and targets are copied per row. One per thread, reused
+/// across calls, allocates once per shape.
+#[derive(Debug, Clone, Default)]
+pub struct RowPack {
+    /// `(d, intercept)` the buffer is laid out for.
+    shape: Option<(usize, bool)>,
+    buf: Vec<f64>,
+}
+
+impl RowPack {
+    /// Empty scratch; the first [`NormalEqAccumulator::push_rows`] lays it
+    /// out.
+    pub fn new() -> RowPack {
+        RowPack::default()
+    }
+
+    /// The block for `d` features, laid out afresh when the shape changed.
+    fn block(&mut self, d: usize, intercept: bool) -> &mut [f64] {
+        if self.shape != Some((d, intercept)) {
+            let p = if intercept { d + 1 } else { d };
+            let stride = packed_stride(p);
+            self.buf.clear();
+            self.buf.resize(block_rows(p) * stride, 0.0);
+            if intercept {
+                for row in self.buf.chunks_exact_mut(stride) {
+                    row[d] = 1.0;
+                }
+            }
+            self.shape = Some((d, intercept));
+        }
+        &mut self.buf
+    }
+}
+
 /// Streaming accumulator for the ridge normal equations `(XᵀX + λI) β = Xᵀy`.
 ///
 /// The fused evaluation kernel pushes each matched observation as it is
@@ -248,7 +328,14 @@ impl LinearRegression {
 /// need bit-identical results across sequential/parallel/indexed paths merge
 /// per-chunk accumulators in ascending chunk order.
 ///
+/// Rows are added either one at a time by [`push_row`] (a rank-1 update, the
+/// reference) or a block at a time by [`push_rows`] (the packed,
+/// register-tiled kernel every evaluation path uses). On finite data the two
+/// produce bit-identical sums: see [`push_rows`].
+///
 /// [`merged`]: NormalEqAccumulator::merge
+/// [`push_row`]: NormalEqAccumulator::push_row
+/// [`push_rows`]: NormalEqAccumulator::push_rows
 #[derive(Debug, Clone)]
 pub struct NormalEqAccumulator {
     /// Feature count `d` (excluding the intercept column).
@@ -303,6 +390,18 @@ impl NormalEqAccumulator {
         self.sum_y
     }
 
+    /// The accumulated `XᵀX` over the augmented design: row-major
+    /// `order() x order()`, upper triangle only (entries below the diagonal
+    /// stay zero).
+    pub fn gram(&self) -> &[f64] {
+        &self.gram
+    }
+
+    /// The accumulated `Xᵀy` over the augmented design.
+    pub fn xty(&self) -> &[f64] {
+        &self.xty
+    }
+
     /// Rank-1 update with one observation.
     ///
     /// # Panics
@@ -325,6 +424,96 @@ impl NormalEqAccumulator {
         vector::axpy(target, &self.row_buf, &mut self.xty);
         self.sum_y += target;
         self.count += 1;
+    }
+
+    /// Accumulate `rows` of `(features, target)` in iteration order through
+    /// the packed, register-tiled Gram kernel.
+    ///
+    /// Rows are copied into `pack` a block at a time, each as
+    /// `[features…, 1.0, target]` (without the `1.0` when there is no
+    /// intercept) and zero-padded to a multiple of the tile width. Each
+    /// `4 x 4` tile of the upper triangle of `[X | y]ᵀ[X | y]` is then held
+    /// in registers while the block's rows stream past, so the same pass
+    /// yields the Gram triangle and, from the `y` column, `Xᵀy`.
+    ///
+    /// Every Gram and `Xᵀy` entry still adds its products one row at a
+    /// time, in iteration order, starting from its current value, and Rust
+    /// never fuses a multiply and an add into one FMA. So on finite data
+    /// the result is bit-identical to calling [`push_row`] on each row in
+    /// order. `push_row` skips the products of a zero feature; adding those
+    /// `±0.0` products instead changes nothing, because every entry starts
+    /// at `+0.0` and a round-to-nearest sum is `−0.0` only when both addends
+    /// are, so no entry ever holds `−0.0`.
+    ///
+    /// `pack` is scratch: one per thread, reused across calls, keeps the
+    /// kernel free of allocation once it has grown to its block size.
+    ///
+    /// # Panics
+    /// Panics when a row's feature count differs from `d`.
+    ///
+    /// [`push_row`]: NormalEqAccumulator::push_row
+    pub fn push_rows<'r, I>(&mut self, pack: &mut RowPack, rows: I)
+    where
+        I: IntoIterator<Item = (&'r [f64], f64)>,
+    {
+        let (d, p) = (self.d, self.xty.len());
+        let stride = packed_stride(p);
+        let block_rows = block_rows(p);
+        let block = pack.block(d, self.intercept);
+        let mut filled = 0;
+        for (features, target) in rows {
+            let row = &mut block[filled * stride..(filled + 1) * stride];
+            row[..d].copy_from_slice(features);
+            row[p] = target;
+            self.sum_y += target;
+            self.count += 1;
+            filled += 1;
+            if filled == block_rows {
+                self.gram_block(block, stride);
+                filled = 0;
+            }
+        }
+        if filled > 0 {
+            self.gram_block(&block[..filled * stride], stride);
+        }
+    }
+
+    /// Add the products of one packed block (rows of `stride` values) to
+    /// the Gram triangle and `Xᵀy`, one register tile at a time. Tiles
+    /// whose rows start at or past the `y` column hold no entry we keep.
+    fn gram_block(&mut self, block: &[f64], stride: usize) {
+        let p = self.xty.len();
+        for ca in (0..p).step_by(TILE) {
+            for cb in (ca..stride).step_by(TILE) {
+                let mut tile = [[0.0; TILE]; TILE];
+                self.visit_kept(ca, cb, &mut tile, |slot, cell| *cell = *slot);
+                let mut tile = stream_tile(tile, block, stride, ca, cb);
+                self.visit_kept(ca, cb, &mut tile, |slot, cell| *slot = *cell);
+            }
+        }
+    }
+
+    /// Visit each cell of the tile at columns `(ca, cb)` of `[X | y]ᵀ[X | y]`
+    /// that is kept — a Gram entry on or above the diagonal, or an `Xᵀy`
+    /// entry — together with its slot. The other cells (below the diagonal,
+    /// `yᵀy`, padding) are computed by the kernel and thrown away.
+    fn visit_kept(
+        &mut self,
+        ca: usize,
+        cb: usize,
+        tile: &mut [[f64; TILE]; TILE],
+        f: impl Fn(&mut f64, &mut f64),
+    ) {
+        let p = self.xty.len();
+        for (a, cells) in (ca..p).zip(tile.iter_mut()) {
+            let row = &mut self.gram[a * p..(a + 1) * p];
+            for b in cb.max(a)..(cb + TILE).min(p) {
+                f(&mut row[b], &mut cells[b - cb]);
+            }
+            if (cb..cb + TILE).contains(&p) {
+                f(&mut self.xty[a], &mut cells[p - cb]);
+            }
+        }
     }
 
     /// Fold another accumulator (over a disjoint row chunk) into this one.
@@ -620,7 +809,110 @@ mod tests {
         assert!((fit.predict(&[2.0, -1.0]) - 10.0).abs() < 1.0);
     }
 
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// One kernel test value: an exact `0.0` or `-0.0` one time in eight
+    /// each, otherwise a random mantissa in `[1, 10)` of either sign scaled
+    /// by `10^e`, `e ∈ [-150, 150]`.
+    fn kernel_value(state: &mut u64) -> f64 {
+        let z = splitmix(state);
+        match z % 8 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => {
+                let mantissa = 1.0 + (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64 * 9.0;
+                let exponent = ((z >> 3) % 301) as i32 - 150;
+                let sign = if z >> 63 == 0 { 1.0 } else { -1.0 };
+                sign * mantissa * 10f64.powi(exponent)
+            }
+        }
+    }
+
+    fn assert_same_bits(
+        packed: &NormalEqAccumulator,
+        oracle: &NormalEqAccumulator,
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(packed.count(), oracle.count());
+        prop_assert_eq!(
+            packed.sum_targets().to_bits(),
+            oracle.sum_targets().to_bits()
+        );
+        for (k, (a, b)) in packed.gram().iter().zip(oracle.gram()).enumerate() {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "gram[{}]: {} vs {}", k, a, b);
+        }
+        for (k, (a, b)) in packed.xty().iter().zip(oracle.xty()).enumerate() {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "xty[{}]: {} vs {}", k, a, b);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn packed_layout_pads_to_whole_tiles() {
+        // D=24 with an intercept: 25 columns + y = 26, padded to 28.
+        assert_eq!(packed_stride(25), 28);
+        assert_eq!(packed_stride(3), 4);
+        assert_eq!(packed_stride(4), 8);
+        assert_eq!(block_rows(25), PACK_BLOCK_LEN / 28);
+        assert_eq!(block_rows(PACK_BLOCK_LEN), 1);
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+        #[test]
+        fn packed_kernel_is_bit_identical_to_rank_one_updates(
+            d in 1usize..=33,
+            intercept in 0u8..2,
+            shape in 0usize..7,
+            extra in 0usize..5,
+            split_at in 0.0..1.0f64,
+            seed in 0u64..u64::MAX,
+        ) {
+            let intercept = intercept == 1;
+            let block = block_rows(if intercept { d + 1 } else { d });
+            let n = match shape {
+                0 => 0,
+                1 => 1,
+                2 => block - 1,
+                3 => block,
+                4 => block + 1,
+                5 => 2 * block + extra,
+                _ => 3 * block + 1 + extra,
+            };
+            let mut state = seed;
+            let xs: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..d).map(|_| kernel_value(&mut state)).collect())
+                .collect();
+            let ys: Vec<f64> = (0..n).map(|_| kernel_value(&mut state)).collect();
+
+            let mut oracle = NormalEqAccumulator::new(d, intercept);
+            for (x, &y) in xs.iter().zip(&ys) {
+                oracle.push_row(x, y);
+            }
+            // Two calls on one accumulator, one shared pack: the second call
+            // must continue every entry's sum where the first left it.
+            let split = ((n as f64 * split_at) as usize).min(n);
+            let rows = || xs.iter().map(Vec::as_slice).zip(ys.iter().copied());
+            let mut pack = RowPack::new();
+            let mut packed = NormalEqAccumulator::new(d, intercept);
+            packed.push_rows(&mut pack, rows().take(split));
+            packed.push_rows(&mut pack, rows().skip(split));
+            assert_same_bits(&packed, &oracle)?;
+
+            let mut merged_oracle = NormalEqAccumulator::new(d, intercept);
+            merged_oracle.merge(&oracle);
+            merged_oracle.merge(&oracle);
+            let mut merged_packed = NormalEqAccumulator::new(d, intercept);
+            merged_packed.merge(&packed);
+            merged_packed.merge(&packed);
+            assert_same_bits(&merged_packed, &merged_oracle)?;
+        }
+
         #[test]
         fn accumulator_agrees_with_ridge_fit_everywhere(
             n in 2usize..30,
