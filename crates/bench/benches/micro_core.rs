@@ -1,16 +1,20 @@
 //! **P1** — Criterion micro-benchmarks of the engine's hot kernels:
-//! rule matching over a training sweep, the regression refit of an
-//! offspring's predicting part, one full steady-state generation, and a
-//! batch prediction pass.
+//! rule matching over a training sweep, one gene's match bitset by range
+//! query vs column sweep, the regression refit of an offspring's predicting
+//! part, one full steady-state generation, and a batch prediction pass.
 //!
 //! Run: `cargo bench -p evoforecast-bench --bench micro_core`
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use evoforecast_core::config::EngineConfig;
+use evoforecast_core::dataset::{fill_gene_bitset, ColumnStore};
 use evoforecast_core::engine::Engine;
+use evoforecast_core::matchindex::MatchIndex;
+use evoforecast_core::parallel::match_bitset;
 use evoforecast_core::predict::RuleSetPredictor;
 use evoforecast_core::regress;
 use evoforecast_core::rule::{Condition, Gene};
+use evoforecast_core::MatchBitset;
 use evoforecast_linalg::regression::RegressionOptions;
 use evoforecast_tsdata::gen::venice::VeniceTide;
 use evoforecast_tsdata::window::WindowSpec;
@@ -41,53 +45,39 @@ fn bench_matching(c: &mut Criterion) {
     let ds = WindowSpec::new(D, 1).unwrap().dataset(&values).unwrap();
     let cond = typical_condition();
     c.bench_function("match_10k_windows_seq", |b| {
-        b.iter(|| {
-            black_box(evoforecast_core::parallel::match_indices(
-                black_box(&cond),
-                &ds,
-                usize::MAX,
-            ))
-        })
+        b.iter(|| black_box(match_bitset(black_box(&cond), &ds, usize::MAX)))
     });
     c.bench_function("match_10k_windows_par", |b| {
-        b.iter(|| {
-            black_box(evoforecast_core::parallel::match_indices(
-                black_box(&cond),
-                &ds,
-                1,
-            ))
-        })
+        b.iter(|| black_box(match_bitset(black_box(&cond), &ds, 1)))
     });
 }
 
 fn bench_match_index(c: &mut Criterion) {
     let values = series();
     let ds = WindowSpec::new(D, 1).unwrap().dataset(&values).unwrap();
-    let index = evoforecast_core::matchindex::MatchIndex::build(&ds);
-    // A selective evolved-style condition: narrow band on one tap.
-    let genes = (0..D)
-        .map(|i| {
-            if i == 5 {
-                Gene::bounded(70.0, 85.0) // rare high-tide band
-            } else if i % 3 == 0 {
-                Gene::bounded(-40.0, 120.0)
-            } else {
-                Gene::Wildcard
-            }
-        })
-        .collect();
-    let selective = Condition::new(genes);
-    c.bench_function("match_selective_scan", |b| {
+    let index = MatchIndex::build(&ds);
+    let columns = ColumnStore::build(&ds);
+    let mut out = MatchBitset::new(ds.len());
+    // A selective evolved-style gene: the rare high-tide band on tap 5,
+    // refilled the way delta re-evaluation refills a mutated gene.
+    let (p, lo, hi) = (5, 70.0, 85.0);
+    assert!(
+        index.fill_gene_bitset(p, lo, hi, &mut out),
+        "band is selective"
+    );
+    c.bench_function("gene_selective_sweep", |b| {
         b.iter(|| {
-            black_box(evoforecast_core::parallel::match_indices(
-                black_box(&selective),
-                &ds,
-                usize::MAX,
-            ))
+            fill_gene_bitset(
+                columns.column(&ds, p),
+                black_box(lo),
+                black_box(hi),
+                &mut out,
+            );
+            black_box(&out);
         })
     });
-    c.bench_function("match_selective_index", |b| {
-        b.iter(|| black_box(index.match_indices(black_box(&selective), &ds)))
+    c.bench_function("gene_selective_index", |b| {
+        b.iter(|| black_box(index.fill_gene_bitset(p, black_box(lo), black_box(hi), &mut out)))
     });
 }
 
@@ -95,7 +85,7 @@ fn bench_regression_refit(c: &mut Criterion) {
     let values = series();
     let ds = WindowSpec::new(D, 1).unwrap().dataset(&values).unwrap();
     let cond = typical_condition();
-    let matched = evoforecast_core::parallel::match_indices(&cond, &ds, usize::MAX);
+    let matched = match_bitset(&cond, &ds, usize::MAX).to_indices();
     c.bench_function(
         &format!("refit_predicting_part_{}_windows", matched.len()),
         |b| {

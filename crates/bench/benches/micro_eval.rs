@@ -10,8 +10,10 @@
 //!   on the K×(D+1) design).
 //! * `old_two_pass_ridge` — same two passes + materialization, but the
 //!   ridge normal-equations solve (the engine's previous hot path).
-//! * `fused_single_pass` / `fused_with_index` — the new kernel behind
-//!   `Engine::step`, which never materializes the design.
+//! * `fused_single_pass` — the fused kernel
+//!   ([`evoforecast_core::parallel::match_and_accumulate`], now the test
+//!   reference for the engine's delta path), which never materializes the
+//!   design.
 //!
 //! **P2** — Delta re-evaluation of offspring against the fused kernel, on a
 //! *selective* evolved-style condition (the common case once the population
@@ -43,7 +45,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use evoforecast_core::dataset;
-use evoforecast_core::matchindex::MatchIndex;
 use evoforecast_core::regress;
 use evoforecast_core::rule::{Condition, Gene};
 use evoforecast_core::{parallel, ColumnStore, ExampleSet, GeneBitsets, MatchBitset};
@@ -138,7 +139,6 @@ fn bench_eval(c: &mut Criterion) {
     let ds = WindowSpec::new(D, TAU).unwrap().dataset(&values).unwrap();
     assert_eq!(ds.len(), WINDOWS);
     let cond = broad_condition();
-    let index = MatchIndex::build(&ds);
     let opts = RegressionOptions::fast();
 
     // Sanity: the comparison is apples-to-apples — same matched set, same
@@ -170,17 +170,6 @@ fn bench_eval(c: &mut Criterion) {
     });
     g.bench_function("fused_single_pass", |b| {
         b.iter(|| black_box(fused(black_box(&cond), &ds, opts)))
-    });
-    g.bench_function("fused_with_index", |b| {
-        b.iter(|| {
-            let (bits, acc) = index.match_accumulate_with_parallel_fallback(
-                black_box(&cond),
-                &ds,
-                opts,
-                usize::MAX,
-            );
-            black_box(regress::fit_from_accumulator(&acc, &bits, &ds, opts))
-        })
     });
     g.finish();
 }

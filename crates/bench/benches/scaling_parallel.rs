@@ -9,7 +9,7 @@
 //! Run: `cargo bench -p evoforecast-bench --bench scaling_parallel`
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use evoforecast_core::parallel::{batch_predict, match_indices};
+use evoforecast_core::parallel::{batch_predict, match_bitset};
 use evoforecast_core::rule::{Condition, Gene};
 use evoforecast_tsdata::gen::venice::VeniceTide;
 use evoforecast_tsdata::window::WindowSpec;
@@ -31,17 +31,17 @@ fn condition() -> Condition {
 }
 
 fn bench_match_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("match_indices");
+    let mut group = c.benchmark_group("match_bitset");
     for &n in &[2_000usize, 8_000, 32_000, 128_000] {
         let values = VeniceTide::default().generate(n + D + 1, 3).into_values();
         let ds = WindowSpec::new(D, 1).unwrap().dataset(&values).unwrap();
         let cond = condition();
         group.throughput(Throughput::Elements(ds.len() as u64));
         group.bench_with_input(BenchmarkId::new("sequential", n), &n, |b, _| {
-            b.iter(|| black_box(match_indices(&cond, &ds, usize::MAX)))
+            b.iter(|| black_box(match_bitset(&cond, &ds, usize::MAX)))
         });
         group.bench_with_input(BenchmarkId::new("rayon", n), &n, |b, _| {
-            b.iter(|| black_box(match_indices(&cond, &ds, 1)))
+            b.iter(|| black_box(match_bitset(&cond, &ds, 1)))
         });
     }
     group.finish();

@@ -1,8 +1,8 @@
 //! Training and evaluation wrappers used by every bench target.
 
 use evoforecast_core::config::{EngineConfig, EnsembleConfig};
-use evoforecast_core::ensemble::{EnsembleReport, EnsembleTrainer};
 use evoforecast_core::predict::RuleSetPredictor;
+use evoforecast_core::supervisor::{Supervisor, SupervisorReport};
 use evoforecast_metrics::PairedErrors;
 use evoforecast_neural::mlp::{Mlp, MlpConfig};
 use evoforecast_neural::Forecaster;
@@ -34,7 +34,7 @@ pub struct RuleSystemSetup {
 pub fn train_rule_system(
     train: &[f64],
     setup: RuleSystemSetup,
-) -> (RuleSetPredictor, EnsembleReport) {
+) -> (RuleSetPredictor, SupervisorReport) {
     let engine = EngineConfig::for_series(train, setup.spec)
         .with_population(setup.population)
         .with_generations(setup.generations)
@@ -44,8 +44,8 @@ pub fn train_rule_system(
     let config = EnsembleConfig::new(engine)
         .with_max_executions(setup.executions)
         .with_coverage_target(0.98);
-    let trainer = EnsembleTrainer::new(config).expect("harness config must validate");
-    trainer
+    let supervisor = Supervisor::new(config).expect("harness config must validate");
+    supervisor
         .run(train)
         .expect("training series fits the window spec")
 }

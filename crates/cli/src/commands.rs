@@ -98,8 +98,7 @@ pub fn generate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 /// `train`: fit a rule-system ensemble on a CSV series and save the model.
 ///
 /// Runs under the fault-tolerant [`Supervisor`] (panic isolation plus
-/// retry-with-reseed); fault-free runs are bit-identical to the plain
-/// ensemble trainer. With `--checkpoint` the merged state is saved after
+/// retry-with-reseed). With `--checkpoint` the merged state is saved after
 /// every wave so an interrupted campaign can be continued with `resume`.
 ///
 /// # Errors

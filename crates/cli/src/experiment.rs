@@ -8,8 +8,8 @@
 
 use crate::args::CliError;
 use evoforecast_core::config::{EngineConfig, EnsembleConfig};
-use evoforecast_core::ensemble::EnsembleTrainer;
 use evoforecast_core::predict::RuleSetPredictor;
+use evoforecast_core::supervisor::Supervisor;
 use evoforecast_metrics::{EvaluationReport, PairedErrors};
 use evoforecast_tsdata::gen::ar::ArProcess;
 use evoforecast_tsdata::gen::mackey_glass::MackeyGlass;
@@ -200,8 +200,8 @@ impl ExperimentSpec {
         let (lo, hi) = engine.value_range;
         let engine = engine.with_emax((hi - lo) * self.engine.emax_fraction);
         let config = EnsembleConfig::new(engine).with_max_executions(self.engine.executions);
-        let trainer = EnsembleTrainer::new(config).map_err(|e| CliError::Runtime(e.to_string()))?;
-        let (predictor, ensemble_report) = trainer
+        let supervisor = Supervisor::new(config).map_err(|e| CliError::Runtime(e.to_string()))?;
+        let (predictor, ensemble_report) = supervisor
             .run(train)
             .map_err(|e| CliError::Runtime(e.to_string()))?;
 

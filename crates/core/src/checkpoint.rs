@@ -23,7 +23,7 @@ use std::fmt;
 use std::path::Path;
 
 /// Current checkpoint layout version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Why a checkpoint could not be written, read, or trusted.
 #[derive(Debug)]
@@ -146,7 +146,7 @@ impl EnsembleCheckpoint {
     ///
     /// # Errors
     /// [`CheckpointError::Corrupt`] when the stored word count disagrees
-    /// with `coverage_len`.
+    /// with `coverage_len`, or when a bit at or past `coverage_len` is set.
     pub fn covered_bits(&self) -> Result<MatchBitset, CheckpointError> {
         let mut bits = MatchBitset::new(self.coverage_len);
         if bits.words().len() != self.covered_words.len() {
@@ -157,15 +157,29 @@ impl EnsembleCheckpoint {
                 bits.words().len()
             )));
         }
+        let tail = self.coverage_len % 64;
+        let stray = match self.covered_words.last() {
+            Some(&last) if tail != 0 => last >> tail,
+            _ => 0,
+        };
+        if stray != 0 {
+            return Err(CheckpointError::Corrupt(format!(
+                "coverage bits set at or past window {}",
+                self.coverage_len
+            )));
+        }
         bits.words_mut().copy_from_slice(&self.covered_words);
         Ok(bits)
     }
 
     /// Check this checkpoint against the resuming run's configuration
-    /// fingerprint and training-window count.
+    /// fingerprint and training-window count, and its coverage bookkeeping
+    /// against its own rule list.
     ///
     /// # Errors
-    /// [`CheckpointError::FingerprintMismatch`] / `UniverseMismatch`.
+    /// [`CheckpointError::FingerprintMismatch`] / `UniverseMismatch`;
+    /// `Corrupt` when more rules are marked folded into the coverage union
+    /// than the checkpoint holds.
     pub fn validate(&self, fingerprint: u64, n_windows: usize) -> Result<(), CheckpointError> {
         if self.config_fingerprint != fingerprint {
             return Err(CheckpointError::FingerprintMismatch {
@@ -178,6 +192,13 @@ impl EnsembleCheckpoint {
                 found: self.coverage_len,
                 expected: n_windows,
             });
+        }
+        if self.folded_rules > self.rules.len() {
+            return Err(CheckpointError::Corrupt(format!(
+                "{} rules marked folded into the coverage union but only {} stored",
+                self.folded_rules,
+                self.rules.len()
+            )));
         }
         Ok(())
     }
@@ -315,6 +336,24 @@ mod tests {
     }
 
     #[test]
+    fn covered_bits_rejects_bits_past_the_universe() {
+        // 130 windows: the last word holds windows 128 and 129 only. An
+        // all-ones word would report more covered windows than exist.
+        let mut cp = sample();
+        *cp.covered_words.last_mut().unwrap() = u64::MAX;
+        assert!(matches!(
+            cp.covered_bits(),
+            Err(CheckpointError::Corrupt(_))
+        ));
+        // Bits inside the universe are fine.
+        *cp.covered_words.last_mut().unwrap() = 0b11;
+        assert_eq!(
+            cp.covered_bits().unwrap().to_indices(),
+            vec![0, 64, 128, 129]
+        );
+    }
+
+    #[test]
     fn validate_rejects_foreign_runs() {
         let cp = sample();
         assert!(cp.validate(0xDEAD_BEEF, 130).is_ok());
@@ -326,6 +365,36 @@ mod tests {
             cp.validate(0xDEAD_BEEF, 99),
             Err(CheckpointError::UniverseMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn validate_rejects_folded_rules_past_the_rule_list() {
+        let mut cp = sample();
+        cp.folded_rules = cp.rules.len() + 1;
+        assert!(matches!(
+            cp.validate(0xDEAD_BEEF, 130),
+            Err(CheckpointError::Corrupt(_))
+        ));
+        cp.folded_rules = cp.rules.len();
+        assert!(cp.validate(0xDEAD_BEEF, 130).is_ok());
+    }
+
+    #[test]
+    fn version_1_checkpoints_are_refused() {
+        // Version 1 serialized the speed flags into the configuration
+        // fingerprint; its files must not resume under the version-2 layout.
+        let path = temp_path("version_1.json");
+        let mut cp = sample();
+        cp.version = 1;
+        cp.save(&path).unwrap();
+        assert!(matches!(
+            EnsembleCheckpoint::load(&path),
+            Err(CheckpointError::VersionMismatch {
+                found: 1,
+                expected: 2
+            })
+        ));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -89,23 +89,6 @@ pub struct EngineConfig {
     /// Evaluate offspring in parallel with rayon when the training dataset
     /// has at least this many windows; `usize::MAX` disables parallelism.
     pub parallel_threshold: usize,
-    /// Accelerate rule matching with a per-position sorted-projection index
-    /// (see [`crate::matchindex::MatchIndex`]); results are bit-identical to
-    /// the plain scan.
-    #[serde(default = "default_true")]
-    pub use_match_index: bool,
-    /// Evaluate offspring by delta re-evaluation: carry one match bitset per
-    /// bounded gene, copy unchanged genes' bitsets from the donor parent at
-    /// crossover, recompute only mutated genes, and AND the per-gene sets
-    /// (most selective first) into the full match set. Bit-identical to a
-    /// from-scratch evaluation — a fixed seed produces the exact same rules
-    /// either way.
-    #[serde(default = "default_true")]
-    pub use_delta_eval: bool,
-}
-
-fn default_true() -> bool {
-    true
 }
 
 impl EngineConfig {
@@ -131,8 +114,6 @@ impl EngineConfig {
             seed: 0x5EED,
             value_range: (lo, hi),
             parallel_threshold: 8_192,
-            use_match_index: true,
-            use_delta_eval: true,
         }
     }
 
@@ -161,8 +142,6 @@ impl EngineConfig {
             seed: 0x5EED,
             value_range,
             parallel_threshold: 8_192,
-            use_match_index: true,
-            use_delta_eval: true,
         }
     }
 
@@ -250,19 +229,16 @@ pub struct EnsembleConfig {
     /// Stop once the accumulated rules cover at least this fraction of the
     /// *training* windows (`0.0 ..= 1.0`).
     pub coverage_target: f64,
-    /// Run executions on parallel worker threads.
-    pub parallel_runs: bool,
 }
 
 impl EnsembleConfig {
     /// Wrap an engine config with default ensemble settings: up to 5
-    /// executions, 98 % coverage target, parallel runs.
+    /// executions, 98 % coverage target.
     pub fn new(engine: EngineConfig) -> EnsembleConfig {
         EnsembleConfig {
             engine,
             max_executions: 5,
             coverage_target: 0.98,
-            parallel_runs: true,
         }
     }
 

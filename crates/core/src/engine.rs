@@ -7,24 +7,24 @@
 //! only if strictly fitter. The population after the final generation *is*
 //! the learned rule set (Michigan approach).
 //!
-//! With [`EngineConfig::use_delta_eval`] (default on) the offspring's match
-//! set is never recomputed from scratch: each individual carries one bitset
-//! per bounded gene ([`crate::population::GeneBitsets`]), crossover copies
-//! the donor parent's bitsets, mutation recomputes only the mutated genes
-//! (columnar sweep or sorted-projection range query), and the full match set
-//! is a selectivity-ordered word-wise AND. Results are bit-identical to the
-//! from-scratch fused evaluation — the toggle changes wall-clock only.
+//! The offspring's match set is never recomputed from scratch (delta
+//! re-evaluation): each individual carries one bitset per bounded gene
+//! ([`crate::population::GeneBitsets`]), crossover copies the donor parent's
+//! bitsets, mutation recomputes only the mutated genes (sorted-projection
+//! range query or columnar sweep), and the full match set is a
+//! selectivity-ordered word-wise AND. Results are bit-identical to matching
+//! every window against the whole condition
+//! ([`crate::parallel::match_and_accumulate`], kept as the test reference).
 
 use crate::bitset::MatchBitset;
 use crate::config::EngineConfig;
 use crate::dataset::{self, ColumnStore, ExampleSet};
 use crate::error::EvoError;
-use crate::fitness::FitnessParams;
 use crate::matchindex::MatchIndex;
 use crate::population::{GeneBitsets, Individual, Population};
-use crate::regress::{fit_from_accumulator, fit_via_bitset, rule_from_parts};
+use crate::regress::{fit_via_bitset, rule_from_parts};
 use crate::rule::{Condition, Gene, Rule};
-use crate::{crossover, init, mutation, parallel, replacement, selection};
+use crate::{crossover, init, mutation, replacement, selection};
 use evoforecast_linalg::regression::RegressionOptions;
 use evoforecast_tsdata::window::WindowedDataset;
 use rand_chacha::rand_core::SeedableRng;
@@ -117,7 +117,6 @@ pub enum StopReason {
 pub struct GenericEngine<E: ExampleSet> {
     config: EngineConfig,
     data: E,
-    index: Option<MatchIndex>,
     population: Population,
     /// `match_sets[k]` = training windows matched by individual `k`'s
     /// condition, kept in lockstep with the population by [`Self::step`].
@@ -128,19 +127,21 @@ pub struct GenericEngine<E: ExampleSet> {
     /// Number of windows with `viable_counts > 0` — the coverage numerator,
     /// maintained so [`Self::training_coverage`] is `O(1)`.
     covered: usize,
-    /// Delta-evaluation state (`None` when `config.use_delta_eval` is off).
-    delta: Option<DeltaState>,
+    /// Delta-evaluation state.
+    delta: DeltaState,
     rng: ChaCha8Rng,
     stats: EngineStats,
 }
 
-/// State of the delta evaluation path: the columnar data view, one
-/// [`GeneBitsets`] per population slot (lockstep with `match_sets`), and
-/// reusable offspring scratch buffers — the steady-state loop allocates
-/// nothing.
+/// State of the delta evaluation path: the columnar and sorted-projection
+/// data views, one [`GeneBitsets`] per population slot (lockstep with `match_sets`), and the
+/// offspring's match-set buffers, which are swapped into a population slot
+/// on replacement instead of being reallocated. (The refit still allocates
+/// every generation; see [`GenericEngine::offspring_delta`].)
 #[derive(Debug)]
 struct DeltaState {
     columns: ColumnStore,
+    index: MatchIndex,
     /// `gene_sets[k]` = per-gene match bitsets of individual `k`.
     gene_sets: Vec<GeneBitsets>,
     /// Offspring gene sets under construction; swapped into `gene_sets` on
@@ -180,47 +181,22 @@ impl<E: ExampleSet> GenericEngine<E> {
     pub fn from_examples(config: EngineConfig, data: E) -> Result<GenericEngine<E>, EvoError> {
         config.validate()?;
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-        let index = config.use_match_index.then(|| MatchIndex::build(&data));
+        let index = MatchIndex::build(&data);
+        let columns = ColumnStore::build(&data);
 
         let conditions = init::initialize(config.init, &data, config.population_size, &mut rng);
-        let mut delta = config.use_delta_eval.then(|| DeltaState {
-            columns: ColumnStore::build(&data),
-            gene_sets: Vec::with_capacity(conditions.len()),
-            scratch_genes: GeneBitsets::new(data.feature_len(), data.len()),
-            scratch_full: MatchBitset::new(data.len()),
-            from_a: Vec::new(),
-            mutated: Vec::new(),
-        });
         let mut stats = EngineStats::default();
         let mut individuals = Vec::with_capacity(conditions.len());
         let mut match_sets = Vec::with_capacity(conditions.len());
+        let mut gene_sets = Vec::with_capacity(conditions.len());
         for c in conditions {
             stats.evaluations += 1;
-            let (ind, bits) = match delta.as_mut() {
-                Some(ds) => {
-                    // Seed the per-gene bitsets and evaluate through the
-                    // delta back half — bit-identical to the fused scan.
-                    let gs = build_gene_sets(&c, &data, &ds.columns, index.as_ref());
-                    let mut full = MatchBitset::new(data.len());
-                    gs.intersect_into(&mut full);
-                    ds.gene_sets.push(gs);
-                    let opts = RegressionOptions::fast();
-                    let (count, model) =
-                        fit_via_bitset(&full, &data, opts, config.parallel_threshold);
-                    let rule = rule_from_parts(c, model, count);
-                    let fit = config.fitness.fitness(rule.matched, rule.error);
-                    (Individual { rule, fitness: fit }, full)
-                }
-                None => evaluate_condition(
-                    c,
-                    &data,
-                    index.as_ref(),
-                    &config.fitness,
-                    config.parallel_threshold,
-                ),
-            };
-            individuals.push(ind);
-            match_sets.push(bits);
+            let gs = build_gene_sets(&c, &data, &columns, &index);
+            let mut full = MatchBitset::new(data.len());
+            gs.intersect_into(&mut full);
+            individuals.push(evaluate(c, &full, &data, &config));
+            match_sets.push(full);
+            gene_sets.push(gs);
         }
 
         let mut viable_counts = vec![0u32; data.len()];
@@ -231,10 +207,18 @@ impl<E: ExampleSet> GenericEngine<E> {
             }
         }
 
+        let delta = DeltaState {
+            columns,
+            index,
+            gene_sets,
+            scratch_genes: GeneBitsets::new(data.feature_len(), data.len()),
+            scratch_full: MatchBitset::new(data.len()),
+            from_a: Vec::new(),
+            mutated: Vec::new(),
+        };
         Ok(GenericEngine {
             config,
             data,
-            index,
             population: Population::new(individuals),
             match_sets,
             viable_counts,
@@ -253,69 +237,10 @@ impl<E: ExampleSet> GenericEngine<E> {
             self.config.tournament_rounds,
             &mut self.rng,
         );
-        // Both branches draw the same RNG sequence (uniform/uniform_into and
-        // mutate/mutate_into are sequence-identical), so the toggle changes
-        // wall-clock only, never the evolved rules.
-        let replaced = if self.delta.is_some() {
-            self.offspring_delta(ia, ib)
-        } else {
-            self.offspring_rescan(ia, ib)
-        };
+        let replaced = self.offspring_delta(ia, ib);
         self.stats.generations += 1;
         if replaced {
             self.stats.replacements += 1;
-        }
-        replaced
-    }
-
-    /// From-scratch offspring evaluation: crossover, mutate, rematch the
-    /// whole dataset with the fused kernel, then crowding replacement.
-    fn offspring_rescan(&mut self, ia: usize, ib: usize) -> bool {
-        let mut child = crossover::uniform(
-            &self.population.get(ia).rule.condition,
-            &self.population.get(ib).rule.condition,
-            &mut self.rng,
-        );
-        mutation::mutate(
-            &mut child,
-            &self.config.mutation,
-            self.config.value_range,
-            &mut self.rng,
-        );
-        let (offspring, bits) = evaluate_condition(
-            child,
-            &self.data,
-            self.index.as_ref(),
-            &self.config.fitness,
-            self.config.parallel_threshold,
-        );
-        self.stats.evaluations += 1;
-
-        let victim = replacement::choose_victim(
-            self.config.replacement,
-            &self.population,
-            offspring.rule.prediction,
-            &mut self.rng,
-        );
-        let victim_viable = !self
-            .config
-            .fitness
-            .is_unfit(self.population.get(victim).fitness);
-        let offspring_viable = !self.config.fitness.is_unfit(offspring.fitness);
-        let replaced = replacement::try_replace(&mut self.population, victim, offspring);
-
-        if replaced {
-            let old_bits = std::mem::replace(&mut self.match_sets[victim], bits);
-            if victim_viable {
-                remove_coverage(&mut self.viable_counts, &mut self.covered, &old_bits);
-            }
-            if offspring_viable {
-                add_coverage(
-                    &mut self.viable_counts,
-                    &mut self.covered,
-                    &self.match_sets[victim],
-                );
-            }
         }
         replaced
     }
@@ -333,16 +258,15 @@ impl<E: ExampleSet> GenericEngine<E> {
     /// parts and one row-pack block per call (per worker when parallel), and
     /// the solve allocates its system matrix, factor and coefficients.
     fn offspring_delta(&mut self, ia: usize, ib: usize) -> bool {
-        // audit: allow(panic-freedom) — delta is always restored before return; take/put pairs are local to this fn
-        let mut delta = self.delta.take().expect("delta state present");
         let DeltaState {
             columns,
+            index,
             gene_sets,
             scratch_genes,
             scratch_full,
             from_a,
             mutated,
-        } = &mut delta;
+        } = &mut self.delta;
 
         let mut child = crossover::uniform_into(
             &self.population.get(ia).rule.condition,
@@ -368,15 +292,9 @@ impl<E: ExampleSet> GenericEngine<E> {
                 next_mutated.next();
                 match gene {
                     Gene::Wildcard => scratch_genes.set_wildcard(g),
-                    Gene::Bounded { lo, hi } => refill_gene(
-                        scratch_genes,
-                        g,
-                        lo,
-                        hi,
-                        columns,
-                        &self.data,
-                        self.index.as_ref(),
-                    ),
+                    Gene::Bounded { lo, hi } => {
+                        refill_gene(scratch_genes, g, lo, hi, columns, &self.data, index)
+                    }
                 }
             } else {
                 let donor = if take_a {
@@ -389,16 +307,7 @@ impl<E: ExampleSet> GenericEngine<E> {
         }
         scratch_genes.intersect_into(scratch_full);
 
-        let opts = RegressionOptions::fast();
-        let (count, model) = fit_via_bitset(
-            scratch_full,
-            &self.data,
-            opts,
-            self.config.parallel_threshold,
-        );
-        let rule = rule_from_parts(child, model, count);
-        let fit = self.config.fitness.fitness(rule.matched, rule.error);
-        let offspring = Individual { rule, fitness: fit };
+        let offspring = evaluate(child, scratch_full, &self.data, &self.config);
         self.stats.evaluations += 1;
 
         let victim = replacement::choose_victim(
@@ -432,39 +341,14 @@ impl<E: ExampleSet> GenericEngine<E> {
                 );
             }
         }
-        self.delta = Some(delta);
         replaced
     }
 
     /// Run the configured number of generations and return the final rule
     /// set (a clone — the engine remains usable for further steps).
     pub fn run(&mut self) -> Vec<Rule> {
-        for _ in 0..self.config.generations {
-            self.step();
-        }
-        self.population.rules()
-    }
-
-    /// Run with a progress callback invoked every `every` generations with
-    /// `(generation, best_fitness, mean_fitness)`.
-    pub fn run_with_progress<F>(&mut self, every: usize, mut progress: F) -> Vec<Rule>
-    where
-        F: FnMut(usize, f64, f64),
-    {
-        let every = every.max(1);
-        for g in 0..self.config.generations {
-            self.step();
-            if (g + 1) % every == 0 {
-                let best = self
-                    .population
-                    .best_index()
-                    .map(|i| self.population.get(i).fitness)
-                    .unwrap_or(f64::NEG_INFINITY);
-                let mean = self.population.mean_fitness().unwrap_or(f64::NEG_INFINITY);
-                progress(g + 1, best, mean);
-            }
-        }
-        self.population.rules()
+        self.run_until(StopConditions::generations(self.config.generations))
+            .0
     }
 
     /// Run until an early-stop condition fires or the generation cap is
@@ -586,36 +470,29 @@ fn remove_coverage(counts: &mut [u32], covered: &mut usize, bits: &MatchBitset) 
     }
 }
 
-/// Evaluate a condition into a fitness-scored individual with the fused
-/// single-pass kernel: one sweep over the data matches windows *and*
-/// accumulates the regression normal equations (Gram matrix + Xᵀy), the
-/// system is solved by Cholesky (ridge-stabilized, LU fallback), and only the
-/// matched rows are revisited for the max-residual `e_R`. Also returns the
-/// matched set as a bitset so the engine can maintain coverage incrementally.
-fn evaluate_condition<E: ExampleSet>(
+/// Derive a condition's predicting part over its known match set and score
+/// it: the Gram / `Xᵀy` are rebuilt over the set bits through the standard
+/// chunk discipline, solved by Cholesky (ridge-stabilized, LU fallback), and
+/// only the matched rows are revisited for the max-residual `e_R`.
+fn evaluate<E: ExampleSet>(
     condition: Condition,
+    matched: &MatchBitset,
     data: &E,
-    index: Option<&MatchIndex>,
-    fitness: &FitnessParams,
-    parallel_threshold: usize,
-) -> (Individual, MatchBitset) {
+    config: &EngineConfig,
+) -> Individual {
     let opts = RegressionOptions::fast();
-    let (bits, acc) = match index {
-        Some(idx) => {
-            idx.match_accumulate_with_parallel_fallback(&condition, data, opts, parallel_threshold)
-        }
-        None => parallel::match_and_accumulate(&condition, data, opts, parallel_threshold),
-    };
-    let model = fit_from_accumulator(&acc, &bits, data, opts);
-    let rule = rule_from_parts(condition, model, acc.count());
-    let fit = fitness.fitness(rule.matched, rule.error);
-    (Individual { rule, fitness: fit }, bits)
+    let (count, model) = fit_via_bitset(matched, data, opts, config.parallel_threshold);
+    let rule = rule_from_parts(condition, model, count);
+    let fitness = config.fitness.fitness(rule.matched, rule.error);
+    Individual { rule, fitness }
 }
 
-/// Recompute one bounded gene's bitset. Narrow intervals go through the
-/// sorted-projection range query (`O(log N + K)`); broad ones — or runs
-/// without an index — through the cache-friendly columnar sweep (`O(N)`).
-/// Both produce the exact [`Gene::accepts`] member set.
+/// Recompute one bounded gene's bitset. The gene's measured selectivity
+/// picks the route: intervals admitting under
+/// [`crate::matchindex::SCAN_FRACTION`] of the windows go through the
+/// sorted-projection range query (`O(log N + K)`), broader ones through the
+/// cache-friendly columnar sweep (`O(N)`). Both produce the exact
+/// [`Gene::accepts`] member set.
 fn refill_gene<E: ExampleSet>(
     gene_sets: &mut GeneBitsets,
     g: usize,
@@ -623,15 +500,12 @@ fn refill_gene<E: ExampleSet>(
     hi: f64,
     columns: &ColumnStore,
     data: &E,
-    index: Option<&MatchIndex>,
+    index: &MatchIndex,
 ) {
     gene_sets.recompute_with(g, |bits| {
-        if let Some(idx) = index {
-            if idx.fill_gene_bitset(g, lo, hi, bits) {
-                return;
-            }
+        if !index.fill_gene_bitset(g, lo, hi, bits) {
+            dataset::fill_gene_bitset(columns.column(data, g), lo, hi, bits);
         }
-        dataset::fill_gene_bitset(columns.column(data, g), lo, hi, bits);
     });
 }
 
@@ -641,7 +515,7 @@ fn build_gene_sets<E: ExampleSet>(
     condition: &Condition,
     data: &E,
     columns: &ColumnStore,
-    index: Option<&MatchIndex>,
+    index: &MatchIndex,
 ) -> GeneBitsets {
     let mut gs = GeneBitsets::new(condition.len(), data.len());
     for (g, lo, hi) in condition.bounded() {
@@ -653,6 +527,8 @@ fn build_gene_sets<E: ExampleSet>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel;
+    use crate::regress::fit_from_accumulator;
     use evoforecast_tsdata::gen::waves::{noisy_sine, sine};
     use evoforecast_tsdata::window::WindowSpec;
 
@@ -746,18 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn run_with_progress_fires_callback() {
-        let series = sine(300, 25.0, 1.0, 0.0, 0.0);
-        let mut e = engine_on(series.values(), 100, 5);
-        let mut calls = Vec::new();
-        e.run_with_progress(25, |g, best, mean| {
-            calls.push(g);
-            assert!(best >= mean, "best {best} < mean {mean}");
-        });
-        assert_eq!(calls, vec![25, 50, 75, 100]);
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let series = noisy_sine(400, 25.0, 1.0, 0.05, 9);
         let run = |seed: u64| {
@@ -769,49 +633,6 @@ mod tests {
         assert_eq!(a, b, "same seed must reproduce the exact rule set");
         let c = run(12);
         assert_ne!(a, c, "different seeds should explore differently");
-    }
-
-    #[test]
-    fn match_index_does_not_change_results() {
-        let series = noisy_sine(800, 25.0, 1.0, 0.08, 41);
-        let spec = WindowSpec::new(6, 2).unwrap();
-        let base = EngineConfig::for_series(series.values(), spec)
-            .with_population(25)
-            .with_generations(400)
-            .with_seed(77);
-        let mut with_index = base.clone();
-        with_index.use_match_index = true;
-        let mut without_index = base;
-        without_index.use_match_index = false;
-        let a = Engine::new(with_index, series.values()).unwrap().run();
-        let b = Engine::new(without_index, series.values()).unwrap().run();
-        assert_eq!(a, b, "the index must be a pure acceleration");
-    }
-
-    #[test]
-    fn delta_eval_does_not_change_results() {
-        // The tentpole guarantee: for a fixed seed, Engine::run with delta
-        // evaluation on produces the exact same rule set as with it off —
-        // with and without the match index underneath.
-        let series = noisy_sine(800, 25.0, 1.0, 0.08, 43);
-        let spec = WindowSpec::new(6, 2).unwrap();
-        for use_index in [true, false] {
-            let mut base = EngineConfig::for_series(series.values(), spec)
-                .with_population(25)
-                .with_generations(400)
-                .with_seed(91);
-            base.use_match_index = use_index;
-            let mut with_delta = base.clone();
-            with_delta.use_delta_eval = true;
-            let mut without_delta = base;
-            without_delta.use_delta_eval = false;
-            let a = Engine::new(with_delta, series.values()).unwrap().run();
-            let b = Engine::new(without_delta, series.values()).unwrap().run();
-            assert_eq!(
-                a, b,
-                "delta evaluation must be a pure acceleration (index={use_index})"
-            );
-        }
     }
 
     #[test]
@@ -841,7 +662,7 @@ mod tests {
         let ds = spec.dataset(series.values()).unwrap();
         let cond = Condition::all_wildcards(4);
         let columns = ColumnStore::build(&ds);
-        let gs = build_gene_sets(&cond, &ds, &columns, None);
+        let gs = build_gene_sets(&cond, &ds, &columns, &MatchIndex::build(&ds));
         let mut full = MatchBitset::new(ExampleSet::len(&ds));
         gs.intersect_into(&mut full);
         assert!(full.all_set(), "all-wildcard must match every window");
@@ -1057,9 +878,24 @@ mod tests {
                     .collect();
                 let cond = Condition::new(genes);
 
+                // use_index_sel 1 refills through the engine's route (range
+                // query when the gene is selective), 0 through the column
+                // sweep alone.
                 let columns = ColumnStore::build(&ds);
-                let index = (use_index_sel == 1).then(|| MatchIndex::build(&ds));
-                let mut gs = build_gene_sets(&cond, &ds, &columns, index.as_ref());
+                let index = MatchIndex::build(&ds);
+                let refill = |gs: &mut GeneBitsets, g: usize, lo: f64, hi: f64| {
+                    if use_index_sel == 1 {
+                        refill_gene(gs, g, lo, hi, &columns, &ds, &index);
+                    } else {
+                        gs.recompute_with(g, |bits| {
+                            dataset::fill_gene_bitset(columns.column(&ds, g), lo, hi, bits)
+                        });
+                    }
+                };
+                let mut gs = GeneBitsets::new(d, nwin);
+                for (g, lo, hi) in cond.bounded() {
+                    refill(&mut gs, g, lo, hi);
+                }
 
                 // One-gene mutation, delta-maintained: only the touched
                 // gene's bitset changes.
@@ -1074,9 +910,7 @@ mod tests {
                 child.genes_mut()[g] = new_gene;
                 match new_gene {
                     Gene::Wildcard => gs.set_wildcard(g),
-                    Gene::Bounded { lo, hi } => {
-                        refill_gene(&mut gs, g, lo, hi, &columns, &ds, index.as_ref())
-                    }
+                    Gene::Bounded { lo, hi } => refill(&mut gs, g, lo, hi),
                 }
                 let mut full = MatchBitset::new(nwin);
                 gs.intersect_into(&mut full);

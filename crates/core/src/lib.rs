@@ -50,7 +50,6 @@ pub mod config;
 pub mod crossover;
 pub mod dataset;
 pub mod engine;
-pub mod ensemble;
 pub mod error;
 pub mod fitness;
 pub mod init;
@@ -73,15 +72,12 @@ pub use compiled::CompiledRuleSet;
 pub use config::{EngineConfig, EnsembleConfig, MutationConfig};
 pub use dataset::{ColumnStore, ExampleSet, TabularExamples};
 pub use engine::{Engine, GenericEngine};
-pub use ensemble::EnsembleTrainer;
 pub use error::EvoError;
 pub use population::GeneBitsets;
 pub use predict::{Combination, RuleSetPredictor};
 pub use replacement::ReplacementStrategy;
 pub use rule::{Condition, Gene, Rule};
-pub use supervisor::{
-    run_ensemble_resumable, DegradationReason, RunBudget, Supervisor, SupervisorReport,
-};
+pub use supervisor::{DegradationReason, RunBudget, Supervisor, SupervisorReport};
 
 /// Convenient glob import for examples and tests.
 pub mod prelude {
@@ -89,14 +85,11 @@ pub mod prelude {
     pub use crate::config::{EngineConfig, EnsembleConfig, MutationConfig};
     pub use crate::dataset::{ExampleSet, TabularExamples};
     pub use crate::engine::{Engine, GenericEngine};
-    pub use crate::ensemble::EnsembleTrainer;
     pub use crate::error::EvoError;
     pub use crate::model::{ModelMetadata, TrainedModel};
     pub use crate::multistep::free_run;
     pub use crate::predict::{Combination, RuleSetPredictor};
     pub use crate::replacement::ReplacementStrategy;
     pub use crate::rule::{Condition, Gene, Rule};
-    pub use crate::supervisor::{
-        run_ensemble_resumable, DegradationReason, RunBudget, Supervisor, SupervisorReport,
-    };
+    pub use crate::supervisor::{DegradationReason, RunBudget, Supervisor, SupervisorReport};
 }

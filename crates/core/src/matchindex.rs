@@ -1,30 +1,25 @@
-//! Sorted-projection index for rule matching.
+//! Sorted-projection index for per-gene matching.
 //!
-//! Matching a condition against the training set is the engine's hottest
-//! loop: `O(N·D)` per offspring, once per generation. Most *evolved* rules
-//! are selective — some bounded gene admits only a small slice of the data —
-//! so a per-position sorted projection lets us binary-search that gene's
-//! interval and verify only the candidates:
+//! Delta re-evaluation recomputes the match bitset of every gene a mutation
+//! rewrites. Most *evolved* genes are selective — the interval admits only a
+//! small slice of the data — so a per-position sorted projection answers
+//! the gene's query by two binary searches plus one bit per member:
 //!
 //! * **build** (once per run): sort `(value, window)` pairs per position —
 //!   `O(D · N log N)`,
-//! * **query** (per offspring): estimate each bounded gene's selectivity by
-//!   two binary searches, scan only the most selective gene's candidate
-//!   range, verify the full condition on each candidate — `O(D log N + K·D)`
-//!   for `K` candidates.
+//! * **query** (per rewritten gene): binary-search the interval and set the
+//!   bits of the candidate range — `O(log N + K)` for `K` members.
 //!
-//! Broad conditions (best selectivity worse than [`SCAN_FRACTION`] of the
-//! data) fall back to the plain linear scan, which is faster there and
-//! keeps the worst case unchanged. Results are always sorted ascending and
-//! bit-identical to the scan — the tests pin that.
+//! Broad intervals (admitting [`SCAN_FRACTION`] of the windows or more) are
+//! declined, and the caller falls back to the columnar sweep
+//! ([`crate::dataset::fill_gene_bitset`]), which is faster there. Both routes
+//! produce the exact member set — the tests pin that.
 
 use crate::bitset::MatchBitset;
 use crate::dataset::ExampleSet;
-use crate::rule::Condition;
-use evoforecast_linalg::regression::{NormalEqAccumulator, RegressionOptions};
 
-/// Fall back to a linear scan when the most selective gene still admits
-/// more than this fraction of the windows.
+/// Decline the range query when the interval admits this fraction of the
+/// windows or more.
 pub const SCAN_FRACTION: f64 = 0.5;
 
 /// Per-position sorted projections of an example set.
@@ -58,129 +53,6 @@ impl MatchIndex {
         }
     }
 
-    /// Number of indexed examples.
-    pub fn len(&self) -> usize {
-        self.examples
-    }
-
-    /// True when the index covers no examples.
-    pub fn is_empty(&self) -> bool {
-        self.examples == 0
-    }
-
-    /// Candidate range `[lo, hi)` in the position-`p` projection for values
-    /// inside `[lo_v, hi_v]`.
-    fn range_of(&self, p: usize, lo_v: f64, hi_v: f64) -> (usize, usize) {
-        let column = &self.projections[p];
-        let start = column.partition_point(|&(v, _)| v < lo_v);
-        let end = column.partition_point(|&(v, _)| v <= hi_v);
-        (start, end)
-    }
-
-    /// Indices of the examples matched by `condition`, ascending — identical
-    /// to a full scan, computed via the most selective bounded gene when one
-    /// is selective enough.
-    ///
-    /// # Panics
-    /// Panics in debug builds when the condition length differs from the
-    /// indexed feature length.
-    pub fn match_indices<E: ExampleSet>(&self, condition: &Condition, data: &E) -> Vec<usize> {
-        debug_assert_eq!(condition.len(), self.projections.len());
-        debug_assert_eq!(data.len(), self.examples);
-
-        // Find the most selective bounded gene: (candidate count, position,
-        // candidate range).
-        struct BestGene {
-            count: usize,
-            position: usize,
-            range: (usize, usize),
-        }
-        let mut best: Option<BestGene> = None;
-        for (p, lo, hi) in condition.bounded() {
-            let range = self.range_of(p, lo, hi);
-            let count = range.1 - range.0;
-            if best.as_ref().is_none_or(|b| count < b.count) {
-                best = Some(BestGene {
-                    count,
-                    position: p,
-                    range,
-                });
-            }
-        }
-
-        match best {
-            Some(b) if (b.count as f64) < SCAN_FRACTION * self.examples as f64 => {
-                let column = &self.projections[b.position];
-                let mut out: Vec<usize> = column[b.range.0..b.range.1]
-                    .iter()
-                    .map(|&(_, id)| id as usize)
-                    .filter(|&i| condition.matches(data.features(i)))
-                    .collect();
-                out.sort_unstable();
-                out
-            }
-            // All-wildcard or broad condition: plain scan.
-            _ => (0..self.examples)
-                .filter(|&i| condition.matches(data.features(i)))
-                .collect(),
-        }
-    }
-
-    /// Like [`MatchIndex::match_indices`], but broad conditions fall back to
-    /// the (possibly rayon-parallel) scan of [`crate::parallel`] instead of
-    /// a sequential one — the right default inside the engine, where large
-    /// datasets and broad early-generation rules coexist.
-    pub fn match_indices_with_parallel_fallback<E: ExampleSet>(
-        &self,
-        condition: &Condition,
-        data: &E,
-        parallel_threshold: usize,
-    ) -> Vec<usize> {
-        // Re-run the selectivity probe; cheap (two binary searches per gene).
-        if self.probe_is_selective(condition) {
-            self.match_indices(condition, data)
-        } else {
-            crate::parallel::match_indices(condition, data, parallel_threshold)
-        }
-    }
-
-    /// Selectivity probe shared by the fallback entry points: `true` when
-    /// some bounded gene admits fewer than [`SCAN_FRACTION`] of the windows,
-    /// i.e. the sorted-projection route is worth taking.
-    fn probe_is_selective(&self, condition: &Condition) -> bool {
-        let mut best_count = usize::MAX;
-        let mut found_bounded = false;
-        for (p, lo, hi) in condition.bounded() {
-            found_bounded = true;
-            let (start, end) = self.range_of(p, lo, hi);
-            best_count = best_count.min(end - start);
-        }
-        found_bounded && (best_count as f64) < SCAN_FRACTION * self.examples as f64
-    }
-
-    /// Fused-path twin of
-    /// [`MatchIndex::match_indices_with_parallel_fallback`]: emit the match
-    /// set as a bitset *and* the accumulated normal equations. Selective
-    /// conditions go through the index (`O(D log N + K·D)` matching, then
-    /// `O(K·p²)` accumulation over just the `K` hits); broad ones fall back
-    /// to the chunked (possibly parallel) fused scan. Both routes follow the
-    /// same chunk/merge discipline, so the result is bit-identical either
-    /// way.
-    pub fn match_accumulate_with_parallel_fallback<E: ExampleSet>(
-        &self,
-        condition: &Condition,
-        data: &E,
-        opts: RegressionOptions,
-        parallel_threshold: usize,
-    ) -> (MatchBitset, NormalEqAccumulator) {
-        if self.probe_is_selective(condition) {
-            let indices = self.match_indices(condition, data);
-            crate::parallel::accumulate_sorted_indices(&indices, data, opts)
-        } else {
-            crate::parallel::match_and_accumulate(condition, data, opts, parallel_threshold)
-        }
-    }
-
     /// Fill `out` with the windows whose position-`p` value lies inside
     /// `[lo, hi]`, via a range query over the sorted projection. Returns
     /// `false` — leaving `out` untouched — when the interval admits
@@ -192,12 +64,14 @@ impl MatchIndex {
     /// Panics when `out`'s universe differs from the indexed example count.
     pub fn fill_gene_bitset(&self, p: usize, lo: f64, hi: f64, out: &mut MatchBitset) -> bool {
         assert_eq!(out.len(), self.examples, "bitset universe mismatch");
-        let (start, end) = self.range_of(p, lo, hi);
+        let column = &self.projections[p];
+        let start = column.partition_point(|&(v, _)| v < lo);
+        let end = column.partition_point(|&(v, _)| v <= hi);
         if ((end - start) as f64) >= SCAN_FRACTION * self.examples as f64 {
             return false;
         }
         out.clear();
-        for &(_, id) in &self.projections[p][start..end] {
+        for &(_, id) in &column[start..end] {
             out.set(id as usize);
         }
         true
@@ -207,8 +81,7 @@ impl MatchIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel;
-    use crate::rule::Gene;
+    use crate::dataset::fill_gene_bitset;
     use evoforecast_tsdata::gen::venice::VeniceTide;
     use evoforecast_tsdata::window::WindowSpec;
     use proptest::prelude::*;
@@ -218,112 +91,11 @@ mod tests {
         (series, WindowSpec::new(6, 1).unwrap())
     }
 
-    #[test]
-    fn index_matches_scan_on_selective_condition() {
-        let (values, spec) = venice_windows(5_000);
-        let ds = spec.dataset(&values).unwrap();
-        let index = MatchIndex::build(&ds);
-        let cond = Condition::new(vec![
-            Gene::bounded(60.0, 80.0), // selective: high tide band
-            Gene::Wildcard,
-            Gene::bounded(-100.0, 200.0), // broad
-            Gene::Wildcard,
-            Gene::Wildcard,
-            Gene::bounded(50.0, 90.0),
-        ]);
-        let via_index = index.match_indices(&cond, &ds);
-        let via_scan = parallel::match_indices(&cond, &ds, usize::MAX);
-        assert_eq!(via_index, via_scan);
-        assert!(!via_index.is_empty(), "band should match something");
-    }
-
-    #[test]
-    fn index_matches_scan_on_broad_and_wildcard_conditions() {
-        let (values, spec) = venice_windows(2_000);
-        let ds = spec.dataset(&values).unwrap();
-        let index = MatchIndex::build(&ds);
-        for cond in [
-            Condition::all_wildcards(6),
-            Condition::new(vec![
-                Gene::bounded(-1000.0, 1000.0),
-                Gene::Wildcard,
-                Gene::Wildcard,
-                Gene::Wildcard,
-                Gene::Wildcard,
-                Gene::Wildcard,
-            ]),
-        ] {
-            let via_index = index.match_indices(&cond, &ds);
-            let via_scan = parallel::match_indices(&cond, &ds, usize::MAX);
-            assert_eq!(via_index, via_scan);
-            assert_eq!(via_index.len(), ds.len());
-        }
-    }
-
-    #[test]
-    fn all_wildcard_condition_falls_back_to_linear_scan() {
-        // An all-wildcard condition has no bounded gene to probe, so the
-        // index must take the linear-scan fallback and return every window.
-        let (values, spec) = venice_windows(1_500);
-        let ds = spec.dataset(&values).unwrap();
-        let index = MatchIndex::build(&ds);
-        let cond = Condition::all_wildcards(6);
-        let via_index = index.match_indices(&cond, &ds);
-        assert_eq!(via_index.len(), ds.len(), "wildcards match everything");
-        assert_eq!(via_index, (0..ds.len()).collect::<Vec<_>>());
-        // Same through the parallel-fallback and fused entry points.
-        assert_eq!(
-            index.match_indices_with_parallel_fallback(&cond, &ds, usize::MAX),
-            via_index
-        );
-        let opts = RegressionOptions::fast();
-        let (bits, acc) =
-            index.match_accumulate_with_parallel_fallback(&cond, &ds, opts, usize::MAX);
-        assert_eq!(bits.count_ones(), ds.len());
-        assert_eq!(acc.count(), ds.len());
-    }
-
-    #[test]
-    fn fused_index_route_is_bit_identical_to_fused_scan() {
-        let (values, spec) = venice_windows(5_000);
-        let ds = spec.dataset(&values).unwrap();
-        let index = MatchIndex::build(&ds);
-        let opts = RegressionOptions::fast();
-        for cond in [
-            // Selective: goes through the sorted projection.
-            Condition::new(vec![
-                Gene::bounded(60.0, 80.0),
-                Gene::Wildcard,
-                Gene::Wildcard,
-                Gene::Wildcard,
-                Gene::Wildcard,
-                Gene::bounded(50.0, 90.0),
-            ]),
-            // Broad: falls back to the chunked scan.
-            Condition::new(vec![
-                Gene::bounded(-1000.0, 1000.0),
-                Gene::Wildcard,
-                Gene::Wildcard,
-                Gene::Wildcard,
-                Gene::Wildcard,
-                Gene::Wildcard,
-            ]),
-        ] {
-            let (idx_bits, idx_acc) =
-                index.match_accumulate_with_parallel_fallback(&cond, &ds, opts, usize::MAX);
-            let (scan_bits, scan_acc) =
-                parallel::match_and_accumulate(&cond, &ds, opts, usize::MAX);
-            assert_eq!(idx_bits, scan_bits);
-            assert_eq!(idx_acc.count(), scan_acc.count());
-            if idx_acc.count() > 1 {
-                let a = idx_acc.solve(opts.ridge_lambda).unwrap();
-                let b = scan_acc.solve(opts.ridge_lambda).unwrap();
-                assert_eq!(a.intercept().to_bits(), b.intercept().to_bits());
-                for (x, y) in a.coefficients().iter().zip(b.coefficients()) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-        }
+    /// Windows whose position-`p` value lies in `[lo, hi]`, by brute force.
+    fn members<E: ExampleSet>(ds: &E, p: usize, lo: f64, hi: f64) -> Vec<usize> {
+        (0..ds.len())
+            .filter(|&i| (lo..=hi).contains(&ds.features(i)[p]))
+            .collect()
     }
 
     #[test]
@@ -334,12 +106,7 @@ mod tests {
         let mut out = MatchBitset::new(ds.len());
         // Selective band: the range query must fill the exact member set.
         assert!(index.fill_gene_bitset(2, 60.0, 80.0, &mut out));
-        let expect: Vec<usize> = (0..ds.len())
-            .filter(|&i| {
-                let v = ds.features(i)[2];
-                (60.0..=80.0).contains(&v)
-            })
-            .collect();
+        let expect = members(&ds, 2, 60.0, 80.0);
         assert_eq!(out.to_indices(), expect);
         assert!(!expect.is_empty(), "band should match something");
     }
@@ -369,59 +136,40 @@ mod tests {
     }
 
     #[test]
-    fn empty_interval_matches_nothing() {
-        let (values, spec) = venice_windows(1_000);
-        let ds = spec.dataset(&values).unwrap();
-        let index = MatchIndex::build(&ds);
-        let cond = Condition::new(vec![
-            Gene::bounded(1e6, 2e6),
-            Gene::Wildcard,
-            Gene::Wildcard,
-            Gene::Wildcard,
-            Gene::Wildcard,
-            Gene::Wildcard,
-        ]);
-        assert!(index.match_indices(&cond, &ds).is_empty());
-    }
-
-    #[test]
     fn boundary_values_included() {
         // Ramp windows: interval [3, 5] on position 0 matches windows 3..=5.
         let values: Vec<f64> = (0..20).map(|i| i as f64).collect();
         let spec = WindowSpec::new(2, 1).unwrap();
         let ds = spec.dataset(&values).unwrap();
         let index = MatchIndex::build(&ds);
-        let cond = Condition::new(vec![Gene::bounded(3.0, 5.0), Gene::Wildcard]);
-        assert_eq!(index.match_indices(&cond, &ds), vec![3, 4, 5]);
+        let mut out = MatchBitset::new(ds.len());
+        assert!(index.fill_gene_bitset(0, 3.0, 5.0, &mut out));
+        assert_eq!(out.to_indices(), vec![3, 4, 5]);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
         #[test]
-        fn index_always_agrees_with_scan(
+        fn range_query_always_agrees_with_column_sweep(
             seed in 0u64..500,
-            genes in proptest::collection::vec(
-                proptest::option::of((-80.0..120.0f64, 0.1..80.0f64)),
-                3..=3,
-            ),
+            p in 0usize..3,
+            lo in -80.0..120.0f64,
+            width in 0.1..80.0f64,
         ) {
             let series = VeniceTide::default().generate(800, seed).into_values();
-            let spec = WindowSpec::new(3, 1).unwrap();
-            let ds = spec.dataset(&series).unwrap();
+            let ds = WindowSpec::new(3, 1).unwrap().dataset(&series).unwrap();
             let index = MatchIndex::build(&ds);
-            let cond = Condition::new(
-                genes
-                    .iter()
-                    .map(|g| match g {
-                        Some((lo, width)) => Gene::bounded(*lo, lo + width),
-                        None => Gene::Wildcard,
-                    })
-                    .collect(),
-            );
-            prop_assert_eq!(
-                index.match_indices(&cond, &ds),
-                parallel::match_indices(&cond, &ds, usize::MAX)
-            );
+            let hi = lo + width;
+            let mut sweep = MatchBitset::new(ds.len());
+            let column: Vec<f64> = (0..ds.len()).map(|i| ds.features(i)[p]).collect();
+            fill_gene_bitset(&column, lo, hi, &mut sweep);
+            prop_assert_eq!(sweep.to_indices(), members(&ds, p, lo, hi));
+            let mut query = MatchBitset::new(ds.len());
+            if index.fill_gene_bitset(p, lo, hi, &mut query) {
+                prop_assert_eq!(query, sweep);
+            } else {
+                prop_assert!(sweep.count_ones() as f64 >= SCAN_FRACTION * ds.len() as f64);
+            }
         }
     }
 }

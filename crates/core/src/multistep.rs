@@ -85,7 +85,7 @@ pub fn free_run(predictor: &RuleSetPredictor, seed_window: &[f64], steps: usize)
 mod tests {
     use super::*;
     use crate::config::{EngineConfig, EnsembleConfig};
-    use crate::ensemble::EnsembleTrainer;
+    use crate::supervisor::Supervisor;
     use evoforecast_tsdata::gen::waves::sine;
     use evoforecast_tsdata::window::WindowSpec;
 
@@ -98,7 +98,7 @@ mod tests {
             .with_generations(3_000)
             .with_seed(5);
         let config = EnsembleConfig::new(engine).with_max_executions(2);
-        let (p, _) = EnsembleTrainer::new(config).unwrap().run(train).unwrap();
+        let (p, _) = Supervisor::new(config).unwrap().run(train).unwrap();
         (p, series.values().to_vec())
     }
 

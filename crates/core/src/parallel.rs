@@ -1,17 +1,21 @@
 //! Rayon-parallel kernels.
 //!
-//! Two operations dominate wall-clock time and parallelize cleanly:
+//! * **refit** — [`accumulate_from_bitset`] rebuilds an offspring's normal
+//!   equations over the set bits of its (AND-derived) match set: the
+//!   engine's per-generation Gram build, once per offspring.
+//! * **batch prediction** — [`batch_predict`] evaluates a whole validation
+//!   sweep.
+//! * **reference matchers** — [`match_and_accumulate`] (match every window
+//!   against the whole condition and accumulate in the same pass) and
+//!   [`match_bitset`] (match only) recompute a match set from scratch. The
+//!   engine never calls them; tests and benches use them as the oracle the
+//!   delta path is pinned against.
 //!
-//! * **offspring matching** — testing a condition against every training
-//!   window (`O(N·D)` with early exit). For the paper's full-scale Venice
-//!   runs that is 45 000 windows × 24 taps per offspring.
-//! * **batch prediction** — evaluating a whole validation sweep.
-//!
-//! Both keep sequential fallbacks below a size threshold: rayon's task
-//! dispatch costs more than matching a few thousand windows, and the
-//! sequential and parallel paths must return *identical* results (rayon's
-//! indexed `filter`/`map` preserve order, so they do — the determinism test
-//! below pins that).
+//! Every kernel keeps a sequential fallback below a size threshold: rayon's
+//! task dispatch costs more than a few thousand windows of work. The
+//! sequential and parallel paths return *identical* results — accumulation
+//! is chunked by [`GRAM_CHUNK`], never by thread, and every parallel map
+//! keeps window order; the tests below pin that bit for bit.
 
 use crate::bitset::{ones_in_words, MatchBitset};
 use crate::dataset::ExampleSet;
@@ -19,26 +23,6 @@ use crate::regress::GRAM_CHUNK;
 use crate::rule::Condition;
 use evoforecast_linalg::regression::{NormalEqAccumulator, RegressionOptions, RowPack};
 use rayon::prelude::*;
-
-/// Indices of the training windows matched by a condition, parallelized when
-/// the dataset has at least `threshold` windows.
-pub fn match_indices<E: ExampleSet>(
-    condition: &Condition,
-    data: &E,
-    threshold: usize,
-) -> Vec<usize> {
-    let n = data.len();
-    if n < threshold {
-        (0..n)
-            .filter(|&i| condition.matches(data.features(i)))
-            .collect()
-    } else {
-        (0..n)
-            .into_par_iter()
-            .filter(|&i| condition.matches(data.features(i)))
-            .collect()
-    }
-}
 
 /// The one packing helper behind every accumulation path: push the windows
 /// `rows` (ascending, all inside one [`GRAM_CHUNK`]) into a fresh chunk
@@ -102,18 +86,18 @@ fn merge_parts(
     acc
 }
 
-/// Single-pass evaluation front half: match `condition` against every window
+/// Reference evaluation front half: match `condition` against every window
 /// *and* accumulate the ridge normal equations over the matches, without
 /// materializing a design matrix. Parallelized over [`GRAM_CHUNK`]-sized
-/// chunks when the dataset has at least `threshold` windows.
+/// chunks when the dataset has at least `threshold` windows. The engine's
+/// delta path is tested and benchmarked against it.
 ///
 /// The chunk structure — not the thread count — determines the
 /// floating-point summation order: each chunk's rows go through the packed
 /// kernel in ascending window order, and per-chunk accumulators always merge
 /// in ascending chunk order, skipping empty chunks. So the sequential path,
-/// the parallel path, the index path
-/// ([`crate::matchindex::MatchIndex::match_accumulate_with_parallel_fallback`])
-/// and [`accumulate_from_bitset`] return bit-identical results.
+/// the parallel path and [`accumulate_from_bitset`] return bit-identical
+/// results.
 pub fn match_and_accumulate<E: ExampleSet>(
     condition: &Condition,
     data: &E,
@@ -143,43 +127,11 @@ pub fn match_and_accumulate<E: ExampleSet>(
     (bits, acc)
 }
 
-/// Accumulate the normal equations over an explicit ascending matched-index
-/// list — the index-assisted entry into the fused path. Each chunk's run of
-/// indices goes through the same packing helper and merge as
-/// [`match_and_accumulate`], so the two agree bit-for-bit on the same match
-/// set.
-///
-/// # Panics
-/// Panics (in debug builds) when `indices` is not sorted ascending.
-pub fn accumulate_sorted_indices<E: ExampleSet>(
-    indices: &[usize],
-    data: &E,
-    opts: RegressionOptions,
-) -> (MatchBitset, NormalEqAccumulator) {
-    debug_assert!(
-        indices.windows(2).all(|w| w[0] < w[1]),
-        "indices must be sorted"
-    );
-    let mut bits = MatchBitset::new(data.len());
-    let mut pack = RowPack::new();
-    let parts = indices
-        .chunk_by(|a, b| a / GRAM_CHUNK == b / GRAM_CHUNK)
-        .map(|run| {
-            for &i in run {
-                bits.set(i);
-            }
-            accumulate_rows(data, run.iter().copied(), &mut pack, opts)
-        });
-    let acc = merge_parts(parts, data.feature_len(), opts);
-    (bits, acc)
-}
-
 /// Accumulate the normal equations over the set bits of an already-known
-/// match set — the delta-evaluation entry into the fused path, where the
-/// match set was produced by ANDing per-gene bitsets rather than by
-/// rescanning rows. Each [`GRAM_CHUNK`]'s set bits (chunk boundaries are
-/// word-aligned) go through the same packing helper and merge as
-/// [`match_and_accumulate`] / [`accumulate_sorted_indices`], so all three
+/// match set — the engine's refit, where the match set was produced by
+/// ANDing per-gene bitsets rather than by rescanning rows. Each
+/// [`GRAM_CHUNK`]'s set bits (chunk boundaries are word-aligned) go through
+/// the same packing helper and merge as [`match_and_accumulate`], so the two
 /// agree bit-for-bit on the same match set. Parallelized over chunks when
 /// the dataset has at least `threshold` windows.
 ///
@@ -204,9 +156,9 @@ pub fn accumulate_from_bitset<E: ExampleSet>(
     merge_parts(parts, data.feature_len(), opts)
 }
 
-/// Matched windows as a bitset (no regression accumulation) — used for the
-/// ensemble's incremental coverage union. Chunked and parallelized like
-/// [`match_and_accumulate`].
+/// Matched windows as a bitset (no regression accumulation) — the test
+/// reference for the engine's per-slot match sets. Chunked and parallelized
+/// like [`match_and_accumulate`].
 pub fn match_bitset<E: ExampleSet>(
     condition: &Condition,
     data: &E,
@@ -275,14 +227,14 @@ mod tests {
             Gene::Wildcard,
             Gene::bounded(0.0, 40.0),
         ]);
-        let seq = match_indices(&cond, &ds, usize::MAX);
-        let par = match_indices(&cond, &ds, 1);
+        let seq = match_bitset(&cond, &ds, usize::MAX);
+        let par = match_bitset(&cond, &ds, 1);
         assert_eq!(seq, par);
-        assert!(!seq.is_empty());
+        assert!(seq.count_ones() > 0);
     }
 
     #[test]
-    fn match_indices_are_sorted_and_correct() {
+    fn match_bitset_is_exactly_the_matching_windows() {
         let vals = big_series();
         let ds = dataset(&vals);
         let cond = Condition::new(vec![
@@ -290,20 +242,9 @@ mod tests {
             Gene::Wildcard,
             Gene::Wildcard,
         ]);
-        let idx = match_indices(&cond, &ds, 1);
-        assert!(
-            idx.windows(2).all(|w| w[0] < w[1]),
-            "indices must be sorted"
-        );
-        for &i in &idx {
-            assert!(cond.matches(ds.window(i)));
-        }
-        // Complement check: unmatched windows really fail.
-        let matched: std::collections::HashSet<usize> = idx.iter().copied().collect();
+        let bits = match_bitset(&cond, &ds, 1);
         for i in 0..ds.len() {
-            if !matched.contains(&i) {
-                assert!(!cond.matches(ds.window(i)));
-            }
+            assert_eq!(bits.contains(i), cond.matches(ds.window(i)), "window {i}");
         }
     }
 
@@ -335,8 +276,8 @@ mod tests {
             Gene::Wildcard,
             Gene::Wildcard,
         ]);
-        assert!(match_indices(&cond, &ds, 1).is_empty());
-        assert!(match_indices(&cond, &ds, usize::MAX).is_empty());
+        assert_eq!(match_bitset(&cond, &ds, 1).count_ones(), 0);
+        assert_eq!(match_bitset(&cond, &ds, usize::MAX).count_ones(), 0);
     }
 
     #[test]
@@ -370,7 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_bitset_agrees_with_match_indices() {
+    fn fused_bitset_agrees_with_match_bitset() {
         let vals = big_series();
         let ds = dataset(&vals);
         let cond = Condition::new(vec![
@@ -380,35 +321,9 @@ mod tests {
         ]);
         let opts = RegressionOptions::fast();
         let (bits, acc) = match_and_accumulate(&cond, &ds, opts, usize::MAX);
-        let indices = match_indices(&cond, &ds, usize::MAX);
-        assert_eq!(bits.to_indices(), indices);
-        assert_eq!(acc.count(), indices.len());
+        assert_eq!(acc.count(), bits.count_ones());
         assert_eq!(match_bitset(&cond, &ds, usize::MAX), bits);
         assert_eq!(match_bitset(&cond, &ds, 1), bits);
-    }
-
-    #[test]
-    fn sorted_index_accumulation_matches_fused_scan() {
-        // The index path feeds accumulate_sorted_indices; its chunked merge
-        // must reproduce the scan's sums bit-for-bit.
-        let vals = big_series();
-        let ds = dataset(&vals);
-        let cond = Condition::new(vec![
-            Gene::bounded(-25.0, 25.0),
-            Gene::bounded(-40.0, 40.0),
-            Gene::Wildcard,
-        ]);
-        let opts = RegressionOptions::fast();
-        let (scan_bits, scan_acc) = match_and_accumulate(&cond, &ds, opts, usize::MAX);
-        let indices = match_indices(&cond, &ds, usize::MAX);
-        let (idx_bits, idx_acc) = accumulate_sorted_indices(&indices, &ds, opts);
-        assert_eq!(scan_bits, idx_bits);
-        let a = scan_acc.solve(opts.ridge_lambda).unwrap();
-        let b = idx_acc.solve(opts.ridge_lambda).unwrap();
-        assert_eq!(a.intercept().to_bits(), b.intercept().to_bits());
-        for (x, y) in a.coefficients().iter().zip(b.coefficients()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
     }
 
     #[test]
@@ -466,9 +381,6 @@ mod tests {
         let (bits, acc) = match_and_accumulate(&cond, &ds, opts, 1);
         assert_eq!(bits.count_ones(), 0);
         assert_eq!(acc.count(), 0);
-        let (bits2, acc2) = accumulate_sorted_indices(&[], &ds, opts);
-        assert_eq!(bits2.count_ones(), 0);
-        assert_eq!(acc2.count(), 0);
     }
 
     #[test]
@@ -477,6 +389,6 @@ mod tests {
         let ds = dataset(&vals);
         let cond = Condition::all_wildcards(3);
         // n = 97 windows; thresholds straddling n give identical output.
-        assert_eq!(match_indices(&cond, &ds, 97), match_indices(&cond, &ds, 98));
+        assert_eq!(match_bitset(&cond, &ds, 97), match_bitset(&cond, &ds, 98));
     }
 }

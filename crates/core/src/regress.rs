@@ -18,21 +18,21 @@
 //!   [`crate::parallel::match_and_accumulate`]): while matching, accumulate
 //!   the `(D+1)×(D+1)` normal equations (`XᵀX` Gram and `Xᵀy`) directly, so
 //!   the design matrix is never materialized; solve by Cholesky. A second
-//!   cheap pass over only the `K` matched rows computes `e_R`. This is the
-//!   engine's hot path — once per offspring, every generation.
+//!   cheap pass over only the `K` matched rows computes `e_R`.
 //!
-//! A third entry, [`fit_via_bitset`], serves the delta-evaluation path: the
-//! match set is already known (ANDed together from per-gene bitsets), so
-//! only the accumulate + solve half runs, rebuilding the Gram by iterating
-//! the set bits through the same chunk discipline
-//! ([`crate::parallel::accumulate_from_bitset`]) — results stay bit-identical
-//! to the fused scan.
+//! The engine's entry, [`fit_via_bitset`], is the fused path's back half:
+//! the match set is already known (ANDed together from per-gene bitsets by
+//! delta re-evaluation), so only the accumulate + solve half runs,
+//! rebuilding the Gram by iterating the set bits through the same chunk
+//! discipline ([`crate::parallel::accumulate_from_bitset`]) — results stay
+//! bit-identical to the fused scan. It runs once per offspring, every
+//! generation.
 //!
-//! To keep results bit-identical across the sequential, rayon-parallel and
-//! index-accelerated matchers, accumulation is chunked: windows are grouped
-//! into fixed [`GRAM_CHUNK`]-sized chunks, each chunk gets its own
-//! accumulator (rows pushed in ascending window order), and non-empty chunk
-//! accumulators merge in ascending chunk order. Every path produces the
+//! To keep results bit-identical across the sequential and rayon-parallel
+//! paths, accumulation is chunked: windows are grouped into fixed
+//! [`GRAM_CHUNK`]-sized chunks, each chunk gets its own accumulator (rows
+//! pushed in ascending window order), and non-empty chunk accumulators
+//! merge in ascending chunk order. Every path produces the
 //! same chunk structure, hence the same floating-point sums.
 
 use crate::bitset::MatchBitset;
@@ -129,8 +129,8 @@ pub fn rule_from_parts(condition: Condition, model: Option<FittedPart>, matched:
 
 /// Derive the predicting part from pre-accumulated normal equations — the
 /// second half of the fused path. `acc` and `matched` must come from the
-/// same match run ([`crate::parallel::match_and_accumulate`] or the index
-/// equivalent). The solve is `O(p³)`; the `e_R` residual pass touches only
+/// same match run ([`crate::parallel::match_and_accumulate`] or
+/// [`crate::parallel::accumulate_from_bitset`]). The solve is `O(p³)`; the `e_R` residual pass touches only
 /// the `K` matched rows.
 ///
 /// Special cases mirror [`fit_part`]: no matches → `None`; a single match →

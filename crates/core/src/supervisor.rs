@@ -1,10 +1,21 @@
-//! Fault-tolerant ensemble supervisor: panic isolation, retry-with-reseed,
-//! run budgets, and checkpoint/resume around the §3.4 multi-execution loop.
+//! Multi-execution accumulation (§3.4), with panic isolation,
+//! retry-with-reseed, run budgets and checkpoint/resume.
 //!
-//! [`crate::ensemble::EnsembleTrainer`] assumes every execution succeeds; one
-//! panicking worker or one killed process throws away every completed
-//! execution of a long campaign. The [`Supervisor`] wraps the same wave loop
-//! with four production guarantees:
+//! "After each execution the solutions obtained at the end of the process
+//! are added to the obtained in previous executions. The number of executions
+//! is determined by the percentage of the search space covered by the rules."
+//!
+//! Executions are independent (seed `base + slot`), so each wave of
+//! [`WAVE_SIZE`] runs on parallel worker threads; rule sets merge in slot
+//! order, so the final predictor does not depend on thread scheduling. Waves
+//! have a fixed size so the early-stopping decision (and therefore the
+//! result) does not depend on the machine's core count. After each wave the
+//! newly merged rules are folded into an incremental coverage union, and the
+//! campaign stops once it reaches the coverage target.
+//!
+//! One panicking worker or one killed process must not throw away every
+//! completed execution of a long campaign, so the [`Supervisor`] adds four
+//! production guarantees:
 //!
 //! 1. **Panic isolation + retry.** Each execution runs under
 //!    [`std::panic::catch_unwind`]; a panic or a retryable error is retried
@@ -20,11 +31,11 @@
 //!    generation budget. On exhaustion the supervisor stops launching waves,
 //!    merges what completed, and reports a [`DegradationReason`] instead of
 //!    hanging or discarding work.
-//! 3. **Checkpoint/resume.** With [`Supervisor::run_resumable`] (or the
-//!    free-function form [`run_ensemble_resumable`]) the merged state is
-//!    written to a versioned [`crate::checkpoint::EnsembleCheckpoint`] after
-//!    every wave; a later call resumes from the last completed wave and
-//!    produces a predictor bit-identical to an uninterrupted run.
+//! 3. **Checkpoint/resume.** With [`Supervisor::run_resumable`] the merged
+//!    state is written to a versioned
+//!    [`crate::checkpoint::EnsembleCheckpoint`] after every wave; a later
+//!    call resumes from the last completed wave and produces a predictor
+//!    bit-identical to an uninterrupted run.
 //! 4. **Deterministic fault injection** (`fault-injection` feature): a
 //!    [`FaultPlan`] kills chosen `(execution, attempt)` pairs so the retry
 //!    and merge paths are pinned by tests, not just exercised by luck.
@@ -34,7 +45,6 @@ use crate::checkpoint::{EnsembleCheckpoint, ExecutionOutcome, OutcomeStatus, CHE
 use crate::config::EnsembleConfig;
 use crate::dataset::ExampleSet;
 use crate::engine::Engine;
-use crate::ensemble::WAVE_SIZE;
 use crate::error::{EvoError, FailureKind};
 use crate::predict::RuleSetPredictor;
 use crate::rule::Rule;
@@ -42,6 +52,9 @@ use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::time::{Duration, Instant};
+
+/// Executions launched per coverage check.
+pub const WAVE_SIZE: usize = 4;
 
 /// Resource limits for one supervisor run. All limits are optional; the
 /// default grants 2 retries per execution and no other bounds.
@@ -170,12 +183,10 @@ pub struct SupervisorReport {
 
 /// The seed an execution slot uses on a given attempt.
 ///
-/// Attempt 0 is `base + slot` — exactly the schedule
-/// [`crate::ensemble::EnsembleTrainer`] uses, so a fault-free supervised run
-/// reproduces the trainer bit for bit. Retries derive a fresh seed by a
-/// splitmix64-style mix of `(base, slot, attempt)`: deterministic (resume and
-/// re-run agree on the replacement seed) but decorrelated from the failing
-/// one.
+/// Attempt 0 is `base + slot`, the §3.4 schedule of independent
+/// executions. Retries derive a fresh seed by a splitmix64-style mix of
+/// `(base, slot, attempt)`: deterministic (resume and re-run agree on the
+/// replacement seed) but decorrelated from the failing one.
 pub fn execution_seed(base: u64, slot: usize, attempt: u32) -> u64 {
     if attempt == 0 {
         return base.wrapping_add(slot as u64);
@@ -373,16 +384,16 @@ impl Supervisor {
             let wave = WAVE_SIZE.min(self.config.max_executions - executions_done);
             let slots: Vec<usize> = (executions_done..executions_done + wave).collect();
             let results: Vec<(ExecutionOutcome, Result<Vec<Rule>, EvoError>)> =
-                if self.config.parallel_runs {
-                    slots.par_iter().map(|&s| self.run_slot(train, s)).collect()
-                } else {
-                    slots.iter().map(|&s| self.run_slot(train, s)).collect()
-                };
+                slots.par_iter().map(|&s| self.run_slot(train, s)).collect();
 
             // Merge in slot order — completion order never matters.
             for (mut outcome, result) in results {
                 match result {
                     Ok(rules) => {
+                        // Rules whose expected error reached EMAX were
+                        // assigned f_min by the fitness function — they are
+                        // not part of the solution, so they must not
+                        // contribute to predictions.
                         let viable = RuleSetPredictor::new(rules)
                             .filter_by_error(self.config.engine.fitness.emax);
                         outcome.rules = viable.len();
@@ -405,6 +416,9 @@ impl Supervisor {
             executions_done += wave;
             new_executions += wave;
 
+            // Fold only the newly merged rules, and only into still-uncovered
+            // windows: the same union as `predictor.coverage(&data)`, much
+            // cheaper once early waves cover most of the space.
             for r in &predictor.rules()[folded_rules..] {
                 if covered_bits.all_set() {
                     break;
@@ -574,26 +588,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Checkpointed ensemble training in one call: the resumable form of
-/// [`crate::ensemble::EnsembleTrainer::run`]. Restores from `checkpoint`
-/// when it exists, rewrites it after every wave, and returns a predictor
-/// bit-identical to an uninterrupted run.
-///
-/// # Errors
-/// See [`Supervisor::run_resumable`].
-pub fn run_ensemble_resumable(
-    config: EnsembleConfig,
-    train: &[f64],
-    checkpoint: impl AsRef<Path>,
-) -> Result<(RuleSetPredictor, SupervisorReport), EvoError> {
-    Supervisor::new(config)?.run_resumable(train, checkpoint)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CheckpointError;
     use crate::config::EngineConfig;
-    use crate::ensemble::EnsembleTrainer;
     use evoforecast_tsdata::gen::waves::noisy_sine;
     use evoforecast_tsdata::window::WindowSpec;
 
@@ -615,8 +614,8 @@ mod tests {
     }
 
     #[test]
-    fn seed_schedule_matches_trainer_and_derives_retries() {
-        // Attempt 0 must be the trainer's `base + slot` schedule.
+    fn seed_schedule_is_base_plus_slot_and_derives_retries() {
+        // Attempt 0 must be the §3.4 `base + slot` schedule.
         assert_eq!(execution_seed(100, 0, 0), 100);
         assert_eq!(execution_seed(100, 3, 0), 103);
         assert_eq!(execution_seed(u64::MAX, 1, 0), 0, "wrapping add");
@@ -628,29 +627,86 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_supervisor_matches_ensemble_trainer_bit_for_bit() {
+    fn rejects_invalid_config() {
+        let series = noisy_sine(200, 20.0, 1.0, 0.05, 1);
+        let bad = quick_config(series.values()).with_max_executions(0);
+        assert!(Supervisor::new(bad).is_err());
+    }
+
+    #[test]
+    fn fault_free_run_keeps_a_clean_ledger() {
         let series = noisy_sine(250, 20.0, 1.0, 0.05, 21);
         let cfg = quick_config(series.values());
-        let (ref_pred, ref_rep) = EnsembleTrainer::new(cfg.clone())
-            .unwrap()
-            .run(series.values())
-            .unwrap();
-        let (sup_pred, sup_rep) = Supervisor::new(cfg).unwrap().run(series.values()).unwrap();
-        assert_eq!(sup_pred.rules(), ref_pred.rules());
-        assert_eq!(sup_rep.executions, ref_rep.executions);
-        assert_eq!(
-            sup_rep.training_coverage.to_bits(),
-            ref_rep.training_coverage.to_bits()
-        );
-        assert_eq!(sup_rep.target_reached, ref_rep.target_reached);
-        assert!(sup_rep.degradation.is_none());
-        assert_eq!(sup_rep.outcomes.len(), sup_rep.executions);
-        for (slot, o) in sup_rep.outcomes.iter().enumerate() {
+        let (_, rep) = Supervisor::new(cfg).unwrap().run(series.values()).unwrap();
+        assert!(rep.degradation.is_none());
+        assert_eq!(rep.outcomes.len(), rep.executions);
+        for (slot, o) in rep.outcomes.iter().enumerate() {
             assert_eq!(o.execution, slot);
             assert_eq!(o.seed, execution_seed(300, slot, 0));
             assert_eq!(o.attempts, 1);
             assert_eq!(o.status, OutcomeStatus::Completed);
         }
+    }
+
+    #[test]
+    fn accumulates_rules_across_executions() {
+        let series = noisy_sine(300, 20.0, 1.0, 0.05, 2);
+        let (predictor, report) = Supervisor::new(quick_config(series.values()))
+            .unwrap()
+            .run(series.values())
+            .unwrap();
+        assert!(report.executions >= 1 && report.executions <= 3);
+        assert!(!predictor.is_empty());
+        assert!(report.training_coverage > 0.5);
+    }
+
+    #[test]
+    fn stops_early_when_target_met() {
+        let series = noisy_sine(300, 20.0, 1.0, 0.05, 3);
+        // Trivial target: the first wave must satisfy it.
+        let cfg = quick_config(series.values())
+            .with_max_executions(8)
+            .with_coverage_target(0.01);
+        let (_, report) = Supervisor::new(cfg).unwrap().run(series.values()).unwrap();
+        assert!(report.target_reached);
+        assert_eq!(report.executions, WAVE_SIZE);
+        assert!(report.degradation.is_none());
+    }
+
+    #[test]
+    fn coverage_grows_with_more_executions() {
+        let series = noisy_sine(400, 20.0, 1.0, 0.1, 5);
+        let run_with = |n: usize| {
+            let cfg = quick_config(series.values())
+                .with_max_executions(n)
+                .with_coverage_target(1.0);
+            let (p, r) = Supervisor::new(cfg).unwrap().run(series.values()).unwrap();
+            (p.len(), r.training_coverage)
+        };
+        let (rules_1, cov_1) = run_with(1);
+        let (rules_3, cov_3) = run_with(3);
+        assert!(rules_3 >= rules_1);
+        assert!(
+            cov_3 >= cov_1 - 1e-12,
+            "coverage shrank: {cov_1} -> {cov_3}"
+        );
+    }
+
+    #[test]
+    fn reported_coverage_equals_predictor_coverage() {
+        // The incremental bitset union must equal a from-scratch coverage
+        // sweep over the final merged predictor, bit for bit.
+        let series = noisy_sine(300, 20.0, 1.0, 0.05, 12);
+        let cfg = quick_config(series.values()).with_max_executions(8);
+        let (predictor, report) = Supervisor::new(cfg).unwrap().run(series.values()).unwrap();
+        let ds = WindowSpec::new(3, 1)
+            .unwrap()
+            .dataset(series.values())
+            .unwrap();
+        assert_eq!(
+            report.training_coverage.to_bits(),
+            predictor.coverage(&ds).to_bits()
+        );
     }
 
     #[test]
@@ -724,7 +780,7 @@ mod tests {
         // directly. The budgeted run must reproduce it exactly.
         let mut short_cfg = cfg.clone();
         short_cfg.engine.generations = 30;
-        let (ref_pred, _) = EnsembleTrainer::new(short_cfg)
+        let (ref_pred, _) = Supervisor::new(short_cfg)
             .unwrap()
             .run(series.values())
             .unwrap();
@@ -799,9 +855,10 @@ mod tests {
         let cfg = quick_config(series.values()).with_coverage_target(0.01);
         let path = temp_path("finished.json");
         std::fs::remove_file(&path).ok();
-        let (pred, rep) = run_ensemble_resumable(cfg.clone(), series.values(), &path).unwrap();
+        let sup = Supervisor::new(cfg).unwrap();
+        let (pred, rep) = sup.run_resumable(series.values(), &path).unwrap();
         assert!(rep.target_reached);
-        let (pred2, rep2) = run_ensemble_resumable(cfg, series.values(), &path).unwrap();
+        let (pred2, rep2) = sup.run_resumable(series.values(), &path).unwrap();
         assert_eq!(pred2.rules(), pred.rules());
         assert_eq!(rep2.executions, rep.executions);
         assert!(rep2.target_reached);
@@ -814,24 +871,66 @@ mod tests {
         let cfg = quick_config(series.values()).with_max_executions(4);
         let path = temp_path("foreign.json");
         std::fs::remove_file(&path).ok();
-        run_ensemble_resumable(cfg.clone(), series.values(), &path).unwrap();
+        let resume = |cfg: EnsembleConfig| {
+            Supervisor::new(cfg)
+                .unwrap()
+                .run_resumable(series.values(), &path)
+        };
+        resume(cfg.clone()).unwrap();
 
         // Same checkpoint, different campaign configuration.
         let mut other = cfg;
         other.engine.seed ^= 0xFFFF;
-        let err = run_ensemble_resumable(other, series.values(), &path).unwrap_err();
+        let err = resume(other).unwrap_err();
         assert!(matches!(
             err,
-            EvoError::Checkpoint(crate::checkpoint::CheckpointError::FingerprintMismatch { .. })
+            EvoError::Checkpoint(CheckpointError::FingerprintMismatch { .. })
         ));
 
         std::fs::write(&path, "{ definitely not a checkpoint").unwrap();
-        let cfg2 = quick_config(series.values());
-        let err = run_ensemble_resumable(cfg2, series.values(), &path).unwrap_err();
+        let err = resume(quick_config(series.values())).unwrap_err();
         assert!(matches!(
             err,
-            EvoError::Checkpoint(crate::checkpoint::CheckpointError::Corrupt(_))
+            EvoError::Checkpoint(CheckpointError::Corrupt(_))
         ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn resume_rejects_corrupt_coverage_state() {
+        // Two hand-edited checkpoints that used to resume: one marks more
+        // rules folded than it holds (a slice panic on the next wave), one
+        // sets coverage bits past the last window (coverage above 1.0).
+        let series = noisy_sine(250, 20.0, 1.0, 0.05, 30);
+        let cfg = quick_config(series.values()).with_max_executions(4);
+        let sup = Supervisor::new(cfg.clone())
+            .unwrap()
+            .with_budget(RunBudget::default().with_wall_clock(Duration::ZERO));
+        let path = temp_path("corrupt_coverage.json");
+        std::fs::remove_file(&path).ok();
+        sup.run_resumable(series.values(), &path).unwrap();
+        let clean = EnsembleCheckpoint::load(&path).unwrap();
+        assert_ne!(
+            clean.coverage_len % 64,
+            0,
+            "test premise: a partial last word"
+        );
+
+        let mut overshoot = clean.clone();
+        overshoot.folded_rules = 1_000_000;
+        let mut stray_bits = clean;
+        *stray_bits.covered_words.last_mut().unwrap() = u64::MAX;
+        for corrupt in [overshoot, stray_bits] {
+            corrupt.save(&path).unwrap();
+            let err = Supervisor::new(cfg.clone())
+                .unwrap()
+                .run_resumable(series.values(), &path)
+                .unwrap_err();
+            assert!(
+                matches!(err, EvoError::Checkpoint(CheckpointError::Corrupt(_))),
+                "{err:?}"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 

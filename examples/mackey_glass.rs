@@ -29,8 +29,8 @@ fn main() {
         .with_generations(6_000)
         .with_seed(17);
     let ensemble_cfg = EnsembleConfig::new(engine_cfg).with_max_executions(4);
-    let trainer = EnsembleTrainer::new(ensemble_cfg).expect("config validates");
-    let (predictor, report) = trainer.run(train).expect("training succeeds");
+    let supervisor = Supervisor::new(ensemble_cfg).expect("config validates");
+    let (predictor, report) = supervisor.run(train).expect("training succeeds");
     println!(
         "trained {} rules over {} executions (training coverage {:.1}%)\n",
         predictor.len(),

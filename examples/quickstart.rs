@@ -17,15 +17,24 @@ fn main() {
     // 2. The paper's encoding: D = 4 consecutive values predict τ = 1 ahead.
     let spec = WindowSpec::new(4, 1).expect("valid window spec");
 
-    // 3. Configure and run one steady-state evolution.
+    // 3. Configure and run one steady-state evolution, one generation per
+    //    step, reporting progress every 1 000 generations.
     let config = EngineConfig::for_series(train, spec)
         .with_population(40)
-        .with_generations(4_000)
         .with_seed(42);
     let mut engine = Engine::new(config, train).expect("engine builds");
-    let rules = engine.run_with_progress(1_000, |gen, best, mean| {
-        println!("generation {gen:>5}: best fitness {best:.2}, mean {mean:.2}");
-    });
+    for gen in 1..=4_000 {
+        engine.step();
+        if gen % 1_000 == 0 {
+            let population = engine.population();
+            let best = population
+                .best_index()
+                .map_or(f64::NEG_INFINITY, |i| population.get(i).fitness);
+            let mean = population.mean_fitness().unwrap_or(f64::NEG_INFINITY);
+            println!("generation {gen:>5}: best fitness {best:.2}, mean {mean:.2}");
+        }
+    }
+    let rules = engine.population().rules();
 
     // 4. The whole population is the forecasting system (Michigan approach).
     let predictor = RuleSetPredictor::new(rules);

@@ -34,8 +34,8 @@ fn main() {
             .with_generations(4_000)
             .with_seed(1700 + horizon as u64);
         let ensemble_cfg = EnsembleConfig::new(engine_cfg).with_max_executions(4);
-        let trainer = EnsembleTrainer::new(ensemble_cfg).expect("config validates");
-        let (predictor, _) = trainer.run(train).expect("training succeeds");
+        let supervisor = Supervisor::new(ensemble_cfg).expect("config validates");
+        let (predictor, _) = supervisor.run(train).expect("training succeeds");
 
         let ds = spec.dataset(valid).expect("valid fits");
         let mut pairs = PairedErrors::with_capacity(ds.len());

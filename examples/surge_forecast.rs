@@ -29,7 +29,7 @@ fn train_system(train: &[f64], seed: u64, emax_fraction: f64) -> RuleSetPredicto
     let (lo, hi) = engine.value_range;
     let engine = engine.with_emax((hi - lo) * emax_fraction);
     let config = EnsembleConfig::new(engine).with_max_executions(4);
-    let (p, _) = EnsembleTrainer::new(config).unwrap().run(train).unwrap();
+    let (p, _) = Supervisor::new(config).unwrap().run(train).unwrap();
     p
 }
 

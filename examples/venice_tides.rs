@@ -33,8 +33,8 @@ fn main() {
     let ensemble_cfg = EnsembleConfig::new(engine_cfg)
         .with_max_executions(4)
         .with_coverage_target(0.97);
-    let trainer = EnsembleTrainer::new(ensemble_cfg).expect("config validates");
-    let (predictor, report) = trainer.run(train).expect("training succeeds");
+    let supervisor = Supervisor::new(ensemble_cfg).expect("config validates");
+    let (predictor, report) = supervisor.run(train).expect("training succeeds");
     println!(
         "rule system: {} rules from {} executions, training coverage {:.1}%",
         predictor.len(),

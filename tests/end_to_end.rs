@@ -27,7 +27,7 @@ fn train_quick(train: &[f64], spec: WindowSpec, seed: u64) -> RuleSetPredictor {
     let config = EnsembleConfig::new(engine)
         .with_max_executions(2)
         .with_coverage_target(0.99);
-    let (predictor, _) = EnsembleTrainer::new(config).unwrap().run(train).unwrap();
+    let (predictor, _) = Supervisor::new(config).unwrap().run(train).unwrap();
     predictor
 }
 
@@ -102,7 +102,7 @@ fn coverage_never_decreases_with_more_executions() {
         let config = EnsembleConfig::new(engine)
             .with_max_executions(execs)
             .with_coverage_target(1.0);
-        let (_, report) = EnsembleTrainer::new(config).unwrap().run(train).unwrap();
+        let (_, report) = Supervisor::new(config).unwrap().run(train).unwrap();
         report.training_coverage
     };
     let one = run(1);

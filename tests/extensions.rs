@@ -23,7 +23,7 @@ fn train_quick(train: &[f64], spec: WindowSpec, seed: u64, generations: usize) -
         .with_generations(generations)
         .with_seed(seed);
     let config = EnsembleConfig::new(engine).with_max_executions(2);
-    let (p, _) = EnsembleTrainer::new(config).unwrap().run(train).unwrap();
+    let (p, _) = Supervisor::new(config).unwrap().run(train).unwrap();
     p
 }
 
