@@ -11,7 +11,7 @@ use std::process::Command;
 
 fn parse_report(stdout: &[u8]) -> Vec<(String, Value)> {
     let text = std::str::from_utf8(stdout).expect("utf-8 stdout");
-    let value = serde_json::from_str_value(text).expect("JSON report on stdout");
+    let value: Value = serde_json::from_str(text).expect("JSON report on stdout");
     value.as_object().expect("report is an object").to_vec()
 }
 

@@ -283,6 +283,39 @@ mod tests {
     }
 
     #[test]
+    fn series_tag_may_come_after_the_fields() {
+        let csv: SeriesSpec = serde_json::from_str(r#"{"path": "a.csv", "kind": "csv"}"#).unwrap();
+        assert_eq!(
+            csv,
+            SeriesSpec::Csv {
+                path: "a.csv".into()
+            }
+        );
+        // The first tag wins, as the first of any duplicate key does.
+        let generated: SeriesSpec = serde_json::from_str(
+            r#"{"n": 5, "generator": "sine", "kind": "generated", "kind": "csv"}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            generated,
+            SeriesSpec::Generated {
+                generator: "sine".into(),
+                n: 5,
+                seed: 0
+            }
+        );
+        for bad in [
+            r#"{"path": "a.csv"}"#,
+            r#"{"kind": "tape", "path": "a.csv"}"#,
+            r#"{"kind": 3, "path": "a.csv"}"#,
+            r#"{"kind": "csv"}"#,
+            r#"{"kind": "csv", "path": "a.csv""#,
+        ] {
+            assert!(serde_json::from_str::<SeriesSpec>(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
     fn rejects_malformed_json() {
         assert!(matches!(
             ExperimentSpec::from_json("{oops"),

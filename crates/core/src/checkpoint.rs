@@ -10,9 +10,10 @@
 //! completed wave and produces a predictor bit-identical to an uninterrupted
 //! run.
 //!
-//! The format is JSON with an explicit `version` field checked before the
-//! full parse, so a future layout change degrades into a clear
-//! [`CheckpointError::VersionMismatch`] instead of a confusing shape error.
+//! The format is JSON with an explicit `version` field; a file that fails
+//! the typed parse is probed for that field alone, so a future layout change
+//! degrades into a clear [`CheckpointError::VersionMismatch`] instead of a
+//! confusing shape error.
 //! Writes go through a temp file + rename so a crash mid-write never leaves
 //! a truncated checkpoint behind.
 
@@ -220,37 +221,47 @@ impl EnsembleCheckpoint {
         Ok(())
     }
 
-    /// Load and version-check a checkpoint file. The `version` field is read
-    /// before the full typed parse so layout drift reports as a version
-    /// mismatch, not a shape error.
+    /// Load and version-check a checkpoint file. The file is parsed once;
+    /// only when that typed parse fails is it probed for its `version`
+    /// alone, so layout drift reports as a version mismatch, not a shape
+    /// error.
     ///
     /// # Errors
     /// [`CheckpointError::Io`] when the file cannot be read, `Corrupt` when
     /// it does not parse, `VersionMismatch` for foreign layouts.
     pub fn load(path: impl AsRef<Path>) -> Result<EnsembleCheckpoint, CheckpointError> {
         let text = std::fs::read_to_string(path)?;
-        let value = serde_json::from_str_value(&text)
-            .map_err(|e| CheckpointError::Corrupt(format!("not JSON: {e:?}")))?;
-        let entries = value
-            .as_object()
-            .ok_or_else(|| CheckpointError::Corrupt("top level is not an object".into()))?;
-        match serde::value::find(entries, "version") {
-            Some(serde::Value::U64(v)) if *v == u64::from(CHECKPOINT_VERSION) => {}
-            Some(serde::Value::U64(v)) => {
+        let shape_error = match serde_json::from_str::<EnsembleCheckpoint>(&text) {
+            Ok(cp) if cp.version == CHECKPOINT_VERSION => return Ok(cp),
+            Ok(cp) => {
                 return Err(CheckpointError::VersionMismatch {
-                    found: *v as u32,
+                    found: cp.version,
                     expected: CHECKPOINT_VERSION,
                 })
             }
-            _ => {
-                return Err(CheckpointError::Corrupt(
-                    "missing or non-integer version field".into(),
-                ))
+            Err(e) => e,
+        };
+        match serde_json::from_str::<VersionProbe>(&text).map(|p| p.version) {
+            Ok(serde::Value::U64(v)) if v != u64::from(CHECKPOINT_VERSION) => {
+                Err(CheckpointError::VersionMismatch {
+                    found: v as u32,
+                    expected: CHECKPOINT_VERSION,
+                })
             }
+            Ok(serde::Value::U64(_)) => Err(CheckpointError::Corrupt(format!(
+                "shape mismatch: {shape_error}"
+            ))),
+            _ => Err(CheckpointError::Corrupt(format!(
+                "no integer version field: {shape_error}"
+            ))),
         }
-        serde_json::from_str(&text)
-            .map_err(|e| CheckpointError::Corrupt(format!("shape mismatch: {e:?}")))
     }
+}
+
+/// The one field of a checkpoint that every layout shares.
+#[derive(Deserialize)]
+struct VersionProbe {
+    version: serde::Value,
 }
 
 /// FNV-1a hash of a canonical JSON rendering — the configuration fingerprint

@@ -636,23 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_parallel_threshold_does_not_change_results() {
-        let series = noisy_sine(600, 25.0, 1.0, 0.05, 19);
-        let spec = WindowSpec::new(4, 1).unwrap();
-        let base = EngineConfig::for_series(series.values(), spec)
-            .with_population(20)
-            .with_generations(100)
-            .with_seed(29);
-        let mut seq_cfg = base.clone();
-        seq_cfg.parallel_threshold = usize::MAX;
-        let mut par_cfg = base;
-        par_cfg.parallel_threshold = 1;
-        let seq_rules = Engine::new(seq_cfg, series.values()).unwrap().run();
-        let par_rules = Engine::new(par_cfg, series.values()).unwrap().run();
-        assert_eq!(seq_rules, par_rules);
-    }
-
-    #[test]
     fn delta_all_wildcard_condition_matches_everything() {
         // Edge case: a condition of only wildcards has no per-gene bitset at
         // all; the AND must yield the full universe and the fit must agree
@@ -680,20 +663,22 @@ mod tests {
 
     #[test]
     fn parallel_threshold_does_not_change_results() {
-        let series = noisy_sine(600, 25.0, 1.0, 0.05, 13);
-        let spec = WindowSpec::new(4, 1).unwrap();
-        let base = EngineConfig::for_series(series.values(), spec)
-            .with_population(20)
-            .with_generations(100)
-            .with_seed(21);
-        let mut seq_cfg = base.clone();
-        seq_cfg.parallel_threshold = usize::MAX;
-        let mut par_cfg = base;
-        par_cfg.parallel_threshold = 1;
+        for (data_seed, engine_seed) in [(13, 21), (19, 29)] {
+            let series = noisy_sine(600, 25.0, 1.0, 0.05, data_seed);
+            let spec = WindowSpec::new(4, 1).unwrap();
+            let base = EngineConfig::for_series(series.values(), spec)
+                .with_population(20)
+                .with_generations(100)
+                .with_seed(engine_seed);
+            let mut seq_cfg = base.clone();
+            seq_cfg.parallel_threshold = usize::MAX;
+            let mut par_cfg = base;
+            par_cfg.parallel_threshold = 1;
 
-        let seq_rules = Engine::new(seq_cfg, series.values()).unwrap().run();
-        let par_rules = Engine::new(par_cfg, series.values()).unwrap().run();
-        assert_eq!(seq_rules, par_rules);
+            let seq_rules = Engine::new(seq_cfg, series.values()).unwrap().run();
+            let par_rules = Engine::new(par_cfg, series.values()).unwrap().run();
+            assert_eq!(seq_rules, par_rules, "data seed {data_seed}");
+        }
     }
 
     #[test]

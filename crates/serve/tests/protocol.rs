@@ -191,6 +191,33 @@ fn half_sent_body_is_answered_not_hung() {
 }
 
 #[test]
+fn nesting_bomb_is_a_typed_error_not_a_crash() {
+    // 50 000 open brackets fit well under the 1 MiB body cap; a recursive
+    // parser would overflow the worker's stack and abort the process.
+    let server = start_server(ServerConfig::default(), 42.0);
+    let addr = server.local_addr();
+    let bomb = "[".repeat(50_000);
+    for body in [
+        format!(r#"{{"windows": {bomb}"#),
+        format!(r#"{{"junk": {bomb}"#),
+        format!(
+            r#"{{"junk": {bomb}{}, "windows": [[1.0, 2.0]]}}"#,
+            "]".repeat(50_000)
+        ),
+    ] {
+        let r = post(addr, "/forecast", &body);
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert_eq!(r.error_kind(), ErrorKind::BadRequest);
+    }
+
+    let r = post(addr, "/forecast", r#"{"windows": [[1.0, 2.0]]}"#);
+    assert_eq!(r.status, 200, "{}", r.body);
+    let resp: ForecastResponse = serde_json::from_str(&r.body).unwrap();
+    assert_eq!(resp.predictions, vec![Some(42.0)]);
+    server.shutdown();
+}
+
+#[test]
 fn batch_detail_and_combination_over_the_wire() {
     let server = start_server(ServerConfig::default(), 10.0);
     let addr = server.local_addr();
