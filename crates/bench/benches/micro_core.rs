@@ -130,7 +130,7 @@ fn bench_batch_predict(c: &mut Criterion) {
     let predictor = RuleSetPredictor::new(engine.run());
     let ds = spec.dataset(&values).unwrap();
     c.bench_function("predict_10k_windows", |b| {
-        b.iter(|| black_box(predictor.predict_dataset(&ds, usize::MAX)))
+        b.iter(|| black_box(predictor.predict_dataset(&ds)))
     });
 }
 

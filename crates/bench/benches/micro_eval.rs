@@ -40,8 +40,9 @@
 //! and the count) and prints nanoseconds per matched row for each.
 //!
 //! Run: `cargo bench -p evoforecast-bench --bench micro_eval`
-//! The measured numbers behind the PR claims live in `BENCH_PR1.json`
-//! (broad group) and `BENCH_PR2.json` (selective group).
+//! Its first measurements were recorded in commit `4c63a7a` (broad group)
+//! and commit `e9c2c5b` (selective group); `git show <commit> -- '*.json'`
+//! prints them.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use evoforecast_core::dataset;

@@ -64,7 +64,7 @@ pub fn evaluate_abstaining(
         .dataset(valid)
         .expect("validation series fits the window spec");
     let mut pairs = PairedErrors::with_capacity(ds.len());
-    let predictions = predictor.predict_dataset(&ds, 8_192);
+    let predictions = predictor.predict_dataset(&ds);
     for (i, pred) in predictions.into_iter().enumerate() {
         pairs.record(ds.target(i), pred);
     }

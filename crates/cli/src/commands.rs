@@ -468,7 +468,7 @@ pub fn serve_start(
         out,
         "slot {:?}: {} rules, D={}, τ={}, Δ={}, fingerprint {}",
         entry.name(),
-        entry.predictor.len(),
+        entry.compiled.len(),
         entry.spec.window(),
         entry.spec.horizon(),
         entry.spec.spacing(),

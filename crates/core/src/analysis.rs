@@ -86,12 +86,9 @@ impl RuleSetStats {
 pub fn overlap_profile<E: ExampleSet>(predictor: &RuleSetPredictor, data: &E) -> Vec<usize> {
     (0..data.len())
         .map(|i| {
-            let w = data.features(i);
             predictor
-                .rules()
-                .iter()
-                .filter(|r| r.condition.matches(w))
-                .count()
+                .predict_detailed(data.features(i))
+                .map_or(0, |d| d.firing_rules)
         })
         .collect()
 }

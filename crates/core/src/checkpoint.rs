@@ -18,6 +18,7 @@
 //! a truncated checkpoint behind.
 
 use crate::bitset::MatchBitset;
+use crate::predict::check_rule_shapes;
 use crate::rule::Rule;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -228,11 +229,17 @@ impl EnsembleCheckpoint {
     ///
     /// # Errors
     /// [`CheckpointError::Io`] when the file cannot be read, `Corrupt` when
-    /// it does not parse, `VersionMismatch` for foreign layouts.
+    /// it does not parse or its rules do not fit together (see
+    /// [`crate::RuleSetPredictor::load_json`]), `VersionMismatch` for
+    /// foreign layouts.
     pub fn load(path: impl AsRef<Path>) -> Result<EnsembleCheckpoint, CheckpointError> {
         let text = std::fs::read_to_string(path)?;
         let shape_error = match serde_json::from_str::<EnsembleCheckpoint>(&text) {
-            Ok(cp) if cp.version == CHECKPOINT_VERSION => return Ok(cp),
+            Ok(cp) if cp.version == CHECKPOINT_VERSION => {
+                return check_rule_shapes(&cp.rules)
+                    .map(|()| cp)
+                    .map_err(CheckpointError::Corrupt)
+            }
             Ok(cp) => {
                 return Err(CheckpointError::VersionMismatch {
                     found: cp.version,
@@ -433,6 +440,22 @@ mod tests {
         ));
         std::fs::remove_file(&garbage).ok();
         std::fs::remove_file(&wrong_version).ok();
+    }
+
+    #[test]
+    fn load_rejects_a_rule_with_short_coefficients() {
+        let path = temp_path("short_coefficients.json");
+        let mut cp = sample();
+        let mut short = cp.rules[0].clone();
+        short.coefficients.pop();
+        cp.rules.push(short);
+        cp.save(&path).unwrap();
+        let err = EnsembleCheckpoint::load(&path).unwrap_err();
+        assert!(
+            matches!(&err, CheckpointError::Corrupt(m) if m.contains("rule 1 has 1 coefficients")),
+            "{err}"
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

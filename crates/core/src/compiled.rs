@@ -1,7 +1,7 @@
-//! Inference-compiled rule sets for online serving.
+//! The compiled rule set every forecast answers from.
 //!
-//! Training wants a rule set that is easy to mutate; serving wants one that
-//! is fast to *query*. [`CompiledRuleSet`] lowers a trained/merged
+//! Training wants a rule set that is easy to mutate and merge; prediction
+//! wants one that is fast to *query*. [`CompiledRuleSet`] lowers a
 //! [`RuleSetPredictor`] into a static, query-optimized form:
 //!
 //! * **Per-dimension boundary projections.** For each window position the
@@ -12,28 +12,33 @@
 //!   segment). A query value selects its segment by one binary search.
 //! * **Bitset AND.** The firing set for a window is the intersection of the
 //!   `D` per-dimension segment bitsets — `O(D·(log B + R/64))` words instead
-//!   of the `O(R·D)` interval scan of [`RuleSetPredictor::predict`], with an
-//!   early exit as soon as the running intersection dies.
+//!   of the `O(R·D)` interval scan §3.4 describes, with an early exit as soon
+//!   as the running intersection dies.
 //! * **Contiguous payloads.** The firing rules' regression rows `(a, b)` and
 //!   expected errors `e_R` live in flat arrays indexed by rule id, so the
 //!   combination loop streams them without pointer chasing.
 //!
-//! Predictions are **bit-identical** to [`RuleSetPredictor::predict_with`]
-//! for every combination mode: the firing set is provably the same (the
-//! segment decomposition reproduces `Gene::accepts` exactly, including
-//! closed endpoints and `-0.0 == 0.0`), rules are visited in the same
-//! ascending order, and each term is computed with the same floating-point
-//! expression. A property test pins this.
+//! [`RuleSetPredictor`] compiles itself on its first predict; the server
+//! compiles each model once when it installs it and queries it through the
+//! allocation-free `*_into` entry points with a caller-owned
+//! [`CompiledRuleSet::scratch`] bitset.
+//!
+//! Predictions are **bit-identical** to the literal scan of §3.4 for every
+//! combination mode: the firing set is provably the same (the segment
+//! decomposition reproduces `Gene::accepts` exactly, including closed
+//! endpoints and `-0.0 == 0.0`), rules are visited in ascending order, and
+//! each term is computed with the same floating-point expression. The scan
+//! survives as the test oracle in `crates/core/tests/common/`, and a
+//! property test there pins the equality.
 
 use crate::bitset::MatchBitset;
-use crate::dataset::ExampleSet;
-use crate::predict::{Combination, PredictionDetail, RuleSetPredictor, WEIGHT_EPS};
+use crate::predict::{check_rule_shapes, Combination, PredictionDetail, RuleSetPredictor};
 use crate::rule::Gene;
 use evoforecast_linalg::vector::dot_unchecked;
 
-/// Windows per parallel chunk in [`CompiledRuleSet::predict_dataset`]; each
-/// chunk reuses one scratch bitset across all of its windows.
-const PREDICT_CHUNK: usize = 1024;
+/// Small regularizer in the inverse-error weighting so a zero-error rule
+/// doesn't get infinite weight.
+const WEIGHT_EPS: f64 = 1e-9;
 
 /// One window position's compiled stabbing index.
 #[derive(Debug, Clone)]
@@ -134,16 +139,19 @@ impl CompiledRuleSet {
     /// Lower a predictor into compiled form. `O(D · R log R)` build time.
     ///
     /// # Panics
-    /// Panics when the predictor mixes rules of different window lengths
-    /// (an upstream merge bug, not a data condition).
+    /// Panics when the rules do not fit together — mixed window lengths, or
+    /// a coefficient count that differs from the condition length. Loading
+    /// an artifact rejects both, so only a rule set built in code can get
+    /// here.
     pub fn compile(predictor: &RuleSetPredictor) -> CompiledRuleSet {
         let rules = predictor.rules();
+        assert_eq!(
+            check_rule_shapes(rules),
+            Ok(()),
+            "cannot compile a malformed rule set"
+        );
         let rule_count = rules.len();
         let dims = rules.first().map_or(0, |r| r.window_len());
-        assert!(
-            rules.iter().all(|r| r.window_len() == dims),
-            "cannot compile a rule set with mixed window lengths"
-        );
         let mut coefficients = Vec::with_capacity(rule_count * dims);
         let mut intercepts = Vec::with_capacity(rule_count);
         let mut errors = Vec::with_capacity(rule_count);
@@ -186,8 +194,11 @@ impl CompiledRuleSet {
 
     /// Fill `scratch` with the firing set for `window`; returns `false` when
     /// it is empty. `D` binary searches + up to `D` bitset ANDs with early
-    /// exit.
+    /// exit. An empty rule set abstains on a window of any length.
     fn fill_firing(&self, window: &[f64], scratch: &mut MatchBitset) -> bool {
+        if self.rule_count == 0 {
+            return false;
+        }
         debug_assert_eq!(window.len(), self.dims, "window/compiled length");
         let mut axes = self.axes.iter().zip(window.iter());
         let Some((axis, &x)) = axes.next() else {
@@ -202,19 +213,6 @@ impl CompiledRuleSet {
             alive = scratch.intersect_with(axis.segment_for(x));
         }
         alive
-    }
-
-    /// [`RuleSetPredictor::predict`], compiled. Allocates a fresh scratch —
-    /// hot paths should hold one and call
-    /// [`CompiledRuleSet::predict_with_into`].
-    pub fn predict(&self, window: &[f64]) -> Option<f64> {
-        self.predict_with(window, Combination::Mean)
-    }
-
-    /// [`RuleSetPredictor::predict_with`], compiled.
-    pub fn predict_with(&self, window: &[f64], combination: Combination) -> Option<f64> {
-        let mut scratch = self.scratch();
-        self.predict_with_into(window, combination, &mut scratch)
     }
 
     /// Predict using a caller-owned scratch bitset (no allocation).
@@ -232,8 +230,8 @@ impl CompiledRuleSet {
         if !self.fill_firing(window, scratch) {
             return None;
         }
-        // Mirror RuleSetPredictor::predict_with term by term, in the same
-        // ascending rule order, so the f64 result is bit-identical.
+        // The §3.4 sum term by term, in ascending rule order, so the f64
+        // result is bit-identical to the literal scan.
         let mut sum = 0.0;
         let mut weight_sum = 0.0;
         let mut count = 0usize;
@@ -253,8 +251,8 @@ impl CompiledRuleSet {
         }
     }
 
-    /// [`RuleSetPredictor::predict_detailed`], compiled, with caller-owned
-    /// scratch.
+    /// [`RuleSetPredictor::predict_detailed`] with a caller-owned scratch
+    /// bitset (no allocation).
     pub fn predict_detailed_into(
         &self,
         window: &[f64],
@@ -289,50 +287,12 @@ impl CompiledRuleSet {
         let row = &self.coefficients[r * self.dims..(r + 1) * self.dims];
         dot_unchecked(row, window) + self.intercepts[r]
     }
-
-    /// Predict every example of a dataset. The sequential path (fewer than
-    /// `threshold` examples) reuses **one** scratch bitset across all
-    /// windows; the parallel path reuses one per [`PREDICT_CHUNK`]-window
-    /// chunk — never one per window.
-    pub fn predict_dataset<E: ExampleSet>(
-        &self,
-        data: &E,
-        combination: Combination,
-        threshold: usize,
-    ) -> Vec<Option<f64>> {
-        use rayon::prelude::*;
-        let n = data.len();
-        if self.rule_count == 0 {
-            return vec![None; n];
-        }
-        if n < threshold {
-            let mut scratch = self.scratch();
-            return (0..n)
-                .map(|i| self.predict_with_into(data.features(i), combination, &mut scratch))
-                .collect();
-        }
-        let chunks = n.div_ceil(PREDICT_CHUNK);
-        let parts: Vec<Vec<Option<f64>>> = (0..chunks)
-            .into_par_iter()
-            .map(|c| {
-                let start = c * PREDICT_CHUNK;
-                let end = (start + PREDICT_CHUNK).min(n);
-                let mut scratch = self.scratch();
-                (start..end)
-                    .map(|i| self.predict_with_into(data.features(i), combination, &mut scratch))
-                    .collect()
-            })
-            .collect();
-        parts.into_iter().flatten().collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rule::{Condition, Rule};
-    use evoforecast_tsdata::window::WindowSpec;
-    use proptest::prelude::*;
 
     fn rule(genes: Vec<Gene>, coefficients: Vec<f64>, intercept: f64, error: f64) -> Rule {
         Rule {
@@ -349,89 +309,68 @@ mod tests {
         rule(vec![Gene::bounded(lo, hi)], vec![0.0], value, error)
     }
 
+    fn predict(compiled: &CompiledRuleSet, window: &[f64]) -> Option<f64> {
+        compiled.predict_with_into(window, Combination::Mean, &mut compiled.scratch())
+    }
+
     #[test]
     fn empty_rule_set_always_abstains() {
         let compiled = CompiledRuleSet::compile(&RuleSetPredictor::new(vec![]));
         assert!(compiled.is_empty());
         assert_eq!(compiled.len(), 0);
         assert_eq!(compiled.dims(), 0);
-        assert_eq!(compiled.predict(&[]), None);
-    }
-
-    #[test]
-    fn matches_scan_on_hand_cases() {
-        let p = RuleSetPredictor::new(vec![
-            band(0.0, 10.0, 4.0, 0.1),
-            band(0.0, 5.0, 8.0, 0.3),
-            band(20.0, 30.0, 1.0, 0.2),
-        ]);
-        let compiled = CompiledRuleSet::compile(&p);
-        assert_eq!(compiled.len(), 3);
-        assert_eq!(compiled.dims(), 1);
-        for x in [
-            -1.0,
-            0.0,
-            3.0,
-            5.0,
-            5.0001,
-            7.0,
-            10.0,
-            10.5,
-            20.0,
-            25.0,
-            30.0,
-            31.0,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-        ] {
-            assert_eq!(compiled.predict(&[x]), p.predict(&[x]), "at x = {x}");
+        // Any window length: an empty set has no `D` to check against.
+        let mut scratch = compiled.scratch();
+        for window in [&[][..], &[1.0, 2.0][..]] {
+            assert_eq!(predict(&compiled, window), None);
+            assert_eq!(compiled.predict_detailed_into(window, &mut scratch), None);
         }
     }
 
     #[test]
     fn closed_endpoints_are_inclusive() {
-        let p = RuleSetPredictor::new(vec![band(1.0, 3.0, 7.0, 0.1)]);
-        let compiled = CompiledRuleSet::compile(&p);
-        assert_eq!(compiled.predict(&[1.0]), Some(7.0));
-        assert_eq!(compiled.predict(&[3.0]), Some(7.0));
-        assert_eq!(compiled.predict(&[0.999]), None);
-        assert_eq!(compiled.predict(&[3.001]), None);
+        let compiled =
+            CompiledRuleSet::compile(&RuleSetPredictor::new(vec![band(1.0, 3.0, 7.0, 0.1)]));
+        assert_eq!(compiled.len(), 1);
+        assert_eq!(compiled.dims(), 1);
+        assert_eq!(predict(&compiled, &[1.0]), Some(7.0));
+        assert_eq!(predict(&compiled, &[3.0]), Some(7.0));
+        assert_eq!(predict(&compiled, &[0.999]), None);
+        assert_eq!(predict(&compiled, &[3.001]), None);
     }
 
     #[test]
     fn negative_zero_boundary_agrees_with_ieee_equality() {
-        let p = RuleSetPredictor::new(vec![band(-0.0, 2.0, 7.0, 0.1)]);
-        let compiled = CompiledRuleSet::compile(&p);
-        // 0.0 == -0.0 in IEEE terms, so both sides must fire the rule.
-        assert_eq!(compiled.predict(&[0.0]), p.predict(&[0.0]));
-        assert_eq!(compiled.predict(&[-0.0]), p.predict(&[-0.0]));
-        assert_eq!(compiled.predict(&[0.0]), Some(7.0));
+        // 0.0 == -0.0 in IEEE terms, so both must fire a rule starting at
+        // -0.0, and one ending at 0.0.
+        for rule in [band(-0.0, 2.0, 7.0, 0.1), band(-2.0, 0.0, 7.0, 0.1)] {
+            let compiled = CompiledRuleSet::compile(&RuleSetPredictor::new(vec![rule]));
+            assert_eq!(predict(&compiled, &[0.0]), Some(7.0));
+            assert_eq!(predict(&compiled, &[-0.0]), Some(7.0));
+        }
     }
 
     #[test]
     fn nan_window_only_fires_wildcards() {
-        let p = RuleSetPredictor::new(vec![
+        let compiled = CompiledRuleSet::compile(&RuleSetPredictor::new(vec![
             band(0.0, 10.0, 4.0, 0.1),
             rule(vec![Gene::Wildcard], vec![0.0], 9.0, 0.2),
-        ]);
-        let compiled = CompiledRuleSet::compile(&p);
-        // The wildcard rule fires; its hyperplane is 0·NaN + 9 = NaN, so
-        // compare bit patterns (NaN != NaN under PartialEq).
-        assert_eq!(
-            compiled.predict(&[f64::NAN]).map(f64::to_bits),
-            p.predict(&[f64::NAN]).map(f64::to_bits)
-        );
-        assert!(compiled.predict(&[f64::NAN]).unwrap().is_nan());
+        ]));
+        // Only the wildcard rule fires; its hyperplane is 0·NaN + 9 = NaN.
+        assert!(predict(&compiled, &[f64::NAN]).unwrap().is_nan());
+        let detail = compiled
+            .predict_detailed_into(&[f64::NAN], &mut compiled.scratch())
+            .unwrap();
+        assert_eq!(detail.firing_rules, 1);
         // A bounded-only rule set abstains on NaN outright.
-        let bounded = RuleSetPredictor::new(vec![band(0.0, 10.0, 4.0, 0.1)]);
-        let compiled = CompiledRuleSet::compile(&bounded);
-        assert_eq!(compiled.predict(&[f64::NAN]), None);
-        assert_eq!(bounded.predict(&[f64::NAN]), None);
+        let bounded =
+            CompiledRuleSet::compile(&RuleSetPredictor::new(vec![band(0.0, 10.0, 4.0, 0.1)]));
+        assert_eq!(predict(&bounded, &[f64::NAN]), None);
     }
 
     #[test]
     fn wildcard_axes_and_hyperplanes() {
-        let p = RuleSetPredictor::new(vec![
+        let compiled = CompiledRuleSet::compile(&RuleSetPredictor::new(vec![
             rule(
                 vec![Gene::bounded(0.0, 10.0), Gene::Wildcard],
                 vec![2.0, 1.0],
@@ -444,32 +383,20 @@ mod tests {
                 0.0,
                 0.4,
             ),
-        ]);
-        let compiled = CompiledRuleSet::compile(&p);
-        for w in [
-            [4.0, 100.0], // only rule 0
-            [4.0, 0.0],   // both
-            [40.0, 0.0],  // only rule 1
-            [40.0, 50.0], // neither
-        ] {
-            assert_eq!(compiled.predict(&w), p.predict(&w), "window {w:?}");
-            assert_eq!(
-                compiled.predict_with(&w, Combination::InverseErrorWeighted),
-                p.predict_with(&w, Combination::InverseErrorWeighted),
-            );
-        }
-    }
-
-    #[test]
-    fn detailed_matches_scan() {
-        let p = RuleSetPredictor::new(vec![band(0.0, 10.0, 4.0, 0.1), band(0.0, 5.0, 8.0, 0.3)]);
-        let compiled = CompiledRuleSet::compile(&p);
-        let mut scratch = compiled.scratch();
-        for x in [3.0, 7.0, 99.0] {
-            let a = compiled.predict_detailed_into(&[x], &mut scratch);
-            let b = p.predict_detailed(&[x]);
-            assert_eq!(a, b, "at x = {x}");
-        }
+        ]));
+        assert_eq!(predict(&compiled, &[4.0, 100.0]), Some(109.0)); // rule 0
+        assert_eq!(predict(&compiled, &[4.0, 0.0]), Some(5.5)); // (9 + 2) / 2
+        assert_eq!(predict(&compiled, &[40.0, 0.0]), Some(20.0)); // rule 1
+        assert_eq!(predict(&compiled, &[40.0, 50.0]), None);
+        // Inverse-error weights 1/0.1 and 1/0.4 pull the mean towards rule 0.
+        let weighted = compiled
+            .predict_with_into(
+                &[4.0, 0.0],
+                Combination::InverseErrorWeighted,
+                &mut compiled.scratch(),
+            )
+            .unwrap();
+        assert!((weighted - 7.6).abs() < 1e-6, "{weighted}");
     }
 
     #[test]
@@ -493,43 +420,7 @@ mod tests {
     }
 
     #[test]
-    fn predict_dataset_reuses_scratch_and_matches_per_window() {
-        let vals: Vec<f64> = (0..200).map(|i| (i as f64 * 0.37).sin() * 50.0).collect();
-        let ds = WindowSpec::new(3, 1).unwrap().dataset(&vals).unwrap();
-        let p = RuleSetPredictor::new(vec![
-            rule(
-                vec![Gene::bounded(-40.0, 40.0), Gene::Wildcard, Gene::Wildcard],
-                vec![1.0, 0.5, -0.5],
-                0.3,
-                0.2,
-            ),
-            rule(
-                vec![Gene::Wildcard, Gene::bounded(0.0, 50.0), Gene::Wildcard],
-                vec![0.0, 1.0, 0.0],
-                -1.0,
-                0.1,
-            ),
-        ]);
-        let compiled = CompiledRuleSet::compile(&p);
-        let reference: Vec<Option<f64>> = (0..ds.len()).map(|i| p.predict(ds.window(i))).collect();
-        // Sequential (one scratch for everything) and parallel (one per
-        // chunk) both equal the per-window reference, bit for bit.
-        assert_eq!(
-            compiled.predict_dataset(&ds, Combination::Mean, usize::MAX),
-            reference
-        );
-        assert_eq!(
-            compiled.predict_dataset(&ds, Combination::Mean, 1),
-            reference
-        );
-        // And RuleSetPredictor::predict_dataset (now routed through the
-        // compiled path) is pinned to the same outputs.
-        assert_eq!(p.predict_dataset(&ds, usize::MAX), reference);
-        assert_eq!(p.predict_dataset(&ds, 1), reference);
-    }
-
-    #[test]
-    #[should_panic(expected = "mixed window lengths")]
+    #[should_panic(expected = "malformed rule set")]
     fn mixed_dims_panic() {
         let p = RuleSetPredictor::new(vec![
             band(0.0, 1.0, 1.0, 0.1),
@@ -541,54 +432,5 @@ mod tests {
             ),
         ]);
         CompiledRuleSet::compile(&p);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-        #[test]
-        fn compiled_is_bit_identical_to_scan(
-            gene_specs in proptest::collection::vec(
-                proptest::collection::vec(
-                    // None = wildcard, Some((lo, width)) = bounded interval.
-                    proptest::option::of((-50.0..50.0f64, 0.0..40.0f64)),
-                    3..=3,
-                ),
-                1..12,
-            ),
-            payload in proptest::collection::vec(
-                (-2.0..2.0f64, -2.0..2.0f64, -2.0..2.0f64, -5.0..5.0f64, 0.0..3.0f64),
-                12,
-            ),
-            windows in proptest::collection::vec(
-                proptest::collection::vec(-70.0..70.0f64, 3..=3),
-                1..20,
-            ),
-        ) {
-            let rules: Vec<Rule> = gene_specs
-                .iter()
-                .zip(payload.iter())
-                .map(|(spec, &(a, b, c, intercept, error))| {
-                    let genes: Vec<Gene> = spec
-                        .iter()
-                        .map(|g| match g {
-                            Some((lo, width)) => Gene::bounded(*lo, lo + width),
-                            None => Gene::Wildcard,
-                        })
-                        .collect();
-                    rule(genes, vec![a, b, c], intercept, error)
-                })
-                .collect();
-            let p = RuleSetPredictor::new(rules);
-            let compiled = CompiledRuleSet::compile(&p);
-            let mut scratch = compiled.scratch();
-            for w in &windows {
-                for combination in [Combination::Mean, Combination::InverseErrorWeighted] {
-                    let scan = p.predict_with(w, combination);
-                    let fast = compiled.predict_with_into(w, combination, &mut scratch);
-                    // Bit-identical, not approximately equal.
-                    prop_assert_eq!(scan.map(f64::to_bits), fast.map(f64::to_bits));
-                }
-            }
-        }
     }
 }

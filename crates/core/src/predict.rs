@@ -5,18 +5,32 @@
 //! the mean of the output for each pattern." Windows matched by no rule get
 //! *no* prediction — the abstention every results table accounts for in its
 //! "percentage of prediction" column.
+//!
+//! [`RuleSetPredictor`] is the rule set as training, merging and artifacts
+//! see it. It answers every forecast from one
+//! [`crate::compiled::CompiledRuleSet`], built on the first predict after
+//! construction, merge or load and cached until the rules change. The
+//! literal O(R·D) scan of §3.4 lives in the test suite as the oracle the
+//! compiled form must match bit for bit.
 
 use crate::bitset::MatchBitset;
+use crate::compiled::CompiledRuleSet;
 use crate::dataset::ExampleSet;
 use crate::rule::Rule;
-use serde::{Deserialize, Serialize};
+use serde::de::Reader;
+use serde::{Deserialize, Serialize, Value};
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::OnceLock;
 
-/// Small regularizer in the inverse-error weighting so a zero-error rule
-/// doesn't get infinite weight. Shared with [`crate::compiled`] so the
-/// compiled predictor's weights are bit-identical.
-pub(crate) const WEIGHT_EPS: f64 = 1e-9;
+/// Windows per parallel chunk in [`RuleSetPredictor::predict_dataset`]; each
+/// chunk reuses one scratch bitset across all of its windows.
+const PREDICT_CHUNK: usize = 1024;
+
+/// Datasets with at least this many windows are predicted in parallel
+/// chunks; smaller ones in one sequential pass. Outputs are identical either
+/// way.
+const PARALLEL_PREDICT_MIN: usize = 8 * PREDICT_CHUNK;
 
 /// How the outputs of simultaneously firing rules are combined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -41,11 +55,69 @@ pub struct PredictionDetail {
     pub expected_error: f64,
 }
 
+/// Check that a rule list can be evaluated as one system: every rule has one
+/// coefficient per condition gene, and all rules share one window length.
+///
+/// # Errors
+/// A message naming the first offending rule.
+pub(crate) fn check_rule_shapes(rules: &[Rule]) -> Result<(), String> {
+    let dims = rules.first().map_or(0, Rule::window_len);
+    for (i, r) in rules.iter().enumerate() {
+        if r.coefficients.len() != r.window_len() {
+            return Err(format!(
+                "rule {i} has {} coefficients under a {}-gene condition",
+                r.coefficients.len(),
+                r.window_len()
+            ));
+        }
+        if r.window_len() != dims {
+            return Err(format!(
+                "rule {i} has window length {}, rule 0 has {dims}",
+                r.window_len()
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// A trained forecasting system: the union of all viable rules from one or
 /// more executions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RuleSetPredictor {
     rules: Vec<Rule>,
+    /// The rules in compiled form, built by the first predict and dropped by
+    /// [`RuleSetPredictor::merge`].
+    compiled: OnceLock<CompiledRuleSet>,
+}
+
+impl PartialEq for RuleSetPredictor {
+    fn eq(&self, other: &Self) -> bool {
+        self.rules == other.rules
+    }
+}
+
+/// Serialized as `{"rules": [...]}`; the compiled cache is never written.
+impl Serialize for RuleSetPredictor {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![("rules".to_string(), self.rules.to_value())])
+    }
+}
+
+/// The on-disk shape of a [`RuleSetPredictor`].
+#[derive(Deserialize)]
+struct SerializedRules {
+    rules: Vec<Rule>,
+}
+
+/// Rejects a rule whose coefficient count differs from its condition length,
+/// and mixed window lengths, so a malformed artifact fails at load instead
+/// of at its first forecast.
+impl Deserialize for RuleSetPredictor {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        let SerializedRules { rules } = SerializedRules::deserialize(r)?;
+        check_rule_shapes(&rules).map_err(serde::Error::custom)?;
+        Ok(RuleSetPredictor::with_all_rules(rules))
+    }
 }
 
 impl RuleSetPredictor {
@@ -54,16 +126,20 @@ impl RuleSetPredictor {
     /// and a finite expected error. Rules that never matched anything carry
     /// no information and would pollute the mean.
     pub fn new(rules: Vec<Rule>) -> RuleSetPredictor {
-        let rules = rules
-            .into_iter()
-            .filter(|r| r.matched > 1 && r.error.is_finite())
-            .collect();
-        RuleSetPredictor { rules }
+        RuleSetPredictor::with_all_rules(
+            rules
+                .into_iter()
+                .filter(|r| r.matched > 1 && r.error.is_finite())
+                .collect(),
+        )
     }
 
     /// Build without filtering (for diagnostics / serialization tests).
     pub fn with_all_rules(rules: Vec<Rule>) -> RuleSetPredictor {
-        RuleSetPredictor { rules }
+        RuleSetPredictor {
+            rules,
+            compiled: OnceLock::new(),
+        }
     }
 
     /// Drop every rule whose expected error exceeds `max_error` — the
@@ -71,13 +147,12 @@ impl RuleSetPredictor {
     /// that were unfit at the end of evolution (e.g. never replaced) would
     /// otherwise still contribute to the prediction mean.
     pub fn filter_by_error(self, max_error: f64) -> RuleSetPredictor {
-        RuleSetPredictor {
-            rules: self
-                .rules
+        RuleSetPredictor::with_all_rules(
+            self.rules
                 .into_iter()
                 .filter(|r| r.error < max_error)
                 .collect(),
-        }
+        )
     }
 
     /// The retained rules.
@@ -95,9 +170,17 @@ impl RuleSetPredictor {
         self.rules.is_empty()
     }
 
-    /// Merge another predictor's rules into this one (ensemble union).
+    /// Merge another predictor's rules into this one (ensemble union). The
+    /// compiled form is rebuilt by the next predict, not here, so a campaign
+    /// merging wave after wave never compiles in between.
     pub fn merge(&mut self, other: RuleSetPredictor) {
         self.rules.extend(other.rules);
+        self.compiled = OnceLock::new();
+    }
+
+    /// The compiled form of the current rules, built on first use.
+    fn compiled(&self) -> &CompiledRuleSet {
+        self.compiled.get_or_init(|| CompiledRuleSet::compile(self))
     }
 
     /// Predict one window: mean over the outputs of every firing rule;
@@ -108,68 +191,43 @@ impl RuleSetPredictor {
     }
 
     /// Predict with an explicit combination strategy.
+    ///
+    /// # Panics
+    /// In debug builds, when the window length differs from the rules' `D`.
     pub fn predict_with(&self, window: &[f64], combination: Combination) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut weight_sum = 0.0;
-        let mut count = 0usize;
-        for r in &self.rules {
-            if r.condition.matches(window) {
-                let w = match combination {
-                    Combination::Mean => 1.0,
-                    Combination::InverseErrorWeighted => 1.0 / (r.error + WEIGHT_EPS),
-                };
-                sum += w * r.predict(window);
-                weight_sum += w;
-                count += 1;
-            }
-        }
-        if count == 0 {
-            None
-        } else {
-            Some(sum / weight_sum)
-        }
+        let compiled = self.compiled();
+        compiled.predict_with_into(window, combination, &mut compiled.scratch())
     }
 
     /// Predict with diagnostics.
     pub fn predict_detailed(&self, window: &[f64]) -> Option<PredictionDetail> {
-        let mut sum = 0.0;
-        let mut err_sum = 0.0;
-        let mut count = 0usize;
-        for r in &self.rules {
-            if r.condition.matches(window) {
-                sum += r.predict(window);
-                err_sum += r.error;
-                count += 1;
-            }
-        }
-        if count == 0 {
-            None
-        } else {
-            Some(PredictionDetail {
-                value: sum / count as f64,
-                firing_rules: count,
-                expected_error: err_sum / count as f64,
-            })
-        }
+        let compiled = self.compiled();
+        compiled.predict_detailed_into(window, &mut compiled.scratch())
     }
 
-    /// Predict every example of a dataset (parallel above `threshold`).
-    ///
-    /// Routed through a [`crate::compiled::CompiledRuleSet`] so the firing
-    /// set comes from per-dimension binary searches + bitset ANDs, with one
-    /// scratch match-bitset reused across all windows (per chunk on the
-    /// parallel path) instead of any per-window allocation. Outputs are
-    /// bit-identical to calling [`RuleSetPredictor::predict`] per window —
-    /// pinned by tests in [`crate::compiled`].
-    pub fn predict_dataset<E: ExampleSet>(&self, data: &E, threshold: usize) -> Vec<Option<f64>> {
-        if self.rules.is_empty() {
-            return vec![None; data.len()];
+    /// Predict every example of a dataset, reusing one scratch bitset per
+    /// 1 024-window chunk (chunks run in parallel from 8 192 windows on).
+    /// Outputs are bit-identical to calling [`RuleSetPredictor::predict`]
+    /// per window.
+    pub fn predict_dataset<E: ExampleSet>(&self, data: &E) -> Vec<Option<f64>> {
+        use rayon::prelude::*;
+        let n = data.len();
+        let compiled = self.compiled();
+        let chunk = |c: usize| -> Vec<Option<f64>> {
+            let mut scratch = compiled.scratch();
+            (c * PREDICT_CHUNK..((c + 1) * PREDICT_CHUNK).min(n))
+                .map(|i| {
+                    compiled.predict_with_into(data.features(i), Combination::Mean, &mut scratch)
+                })
+                .collect()
+        };
+        let chunks = 0..n.div_ceil(PREDICT_CHUNK);
+        if n < PARALLEL_PREDICT_MIN {
+            chunks.flat_map(chunk).collect()
+        } else {
+            let parts: Vec<Vec<Option<f64>>> = chunks.into_par_iter().map(chunk).collect();
+            parts.into_iter().flatten().collect()
         }
-        crate::compiled::CompiledRuleSet::compile(self).predict_dataset(
-            data,
-            Combination::Mean,
-            threshold,
-        )
     }
 
     /// Remove rules made redundant by better rules, judged against a
@@ -221,14 +279,13 @@ impl RuleSetPredictor {
             }
         }
 
-        RuleSetPredictor {
-            rules: self
-                .rules
+        RuleSetPredictor::with_all_rules(
+            self.rules
                 .into_iter()
                 .zip(keep)
                 .filter_map(|(r, k)| k.then_some(r))
                 .collect(),
-        }
+        )
     }
 
     /// Serialize the trained system to pretty JSON on any writer.
@@ -253,7 +310,9 @@ impl RuleSetPredictor {
     /// Load a system previously saved with [`RuleSetPredictor::save_json`].
     ///
     /// # Errors
-    /// I/O errors, or `InvalidData` when the JSON does not parse.
+    /// I/O errors, or `InvalidData` when the JSON does not parse or its
+    /// rules do not fit together (a rule whose coefficient count differs
+    /// from its condition length, or mixed window lengths).
     pub fn load_json<R: Read>(mut reader: R) -> std::io::Result<RuleSetPredictor> {
         let mut buf = String::new();
         reader.read_to_string(&mut buf)?;
@@ -358,6 +417,8 @@ mod tests {
     fn merge_unions_rule_sets() {
         let mut a = RuleSetPredictor::new(vec![rule(0.0, 1.0, 0.0, 1.0, 3, 0.1)]);
         let b = RuleSetPredictor::new(vec![rule(2.0, 3.0, 0.0, 2.0, 3, 0.1)]);
+        // Compile `a` before the merge: the merge must drop that form.
+        assert_eq!(a.predict(&[2.5]), None);
         a.merge(b);
         assert_eq!(a.len(), 2);
         assert_eq!(a.predict(&[0.5]), Some(1.0));
@@ -372,12 +433,20 @@ mod tests {
         let p = RuleSetPredictor::new(vec![rule(0.0, 9.0, 1.0, 1.0, 5, 0.1)]);
         let cov = p.coverage(&ds);
         assert!((cov - 10.0 / 19.0).abs() < 1e-12);
-        let preds = p.predict_dataset(&ds, usize::MAX);
+        let preds = p.predict_dataset(&ds);
         assert_eq!(preds.len(), 19);
         assert_eq!(preds[0], Some(1.0)); // window [0] -> 0*1+1
         assert_eq!(preds[10], None);
-        // Parallel path identical.
-        assert_eq!(preds, p.predict_dataset(&ds, 1));
+
+        // Enough windows for the parallel chunks: still exactly the
+        // per-window answers, in order.
+        let vals: Vec<f64> = (0..PARALLEL_PREDICT_MIN + 300)
+            .map(|i| (i % 20) as f64)
+            .collect();
+        let ds = WindowSpec::new(1, 1).unwrap().dataset(&vals).unwrap();
+        let per_window: Vec<Option<f64>> = (0..ds.len()).map(|i| p.predict(ds.window(i))).collect();
+        assert!(ds.len() >= PARALLEL_PREDICT_MIN);
+        assert_eq!(p.predict_dataset(&ds), per_window);
     }
 
     #[test]
@@ -394,8 +463,13 @@ mod tests {
     fn serde_round_trip() {
         let p = RuleSetPredictor::new(vec![rule(0.0, 10.0, 2.0, 1.0, 3, 0.1)]);
         let json = serde_json::to_string(&p).unwrap();
+        assert!(json.starts_with(r#"{"rules":[{"condition":"#), "{json}");
         let back: RuleSetPredictor = serde_json::from_str(&json).unwrap();
         assert_eq!(p, back);
+        // A compiled cache is not part of the value.
+        assert_eq!(back.predict(&[4.0]), Some(9.0));
+        assert_eq!(p, back);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 
     #[test]
@@ -519,6 +593,25 @@ mod tests {
         let back = RuleSetPredictor::load_json_file(&path).unwrap();
         assert_eq!(back.len(), p.len());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn load_json_rejects_rules_that_do_not_fit_together() {
+        let mut short = rule(0.0, 10.0, 2.0, 1.0, 3, 0.1);
+        short.condition = Condition::new(vec![Gene::bounded(0.0, 10.0), Gene::Wildcard]);
+        let mut wide = rule(0.0, 10.0, 2.0, 1.0, 3, 0.1);
+        wide.condition = Condition::new(vec![Gene::Wildcard, Gene::Wildcard]);
+        wide.coefficients = vec![1.0, 1.0];
+        for rules in [
+            // 1 coefficient under a 2-gene condition.
+            vec![rule(0.0, 10.0, 2.0, 1.0, 3, 0.1), short],
+            // Window lengths 1 and 2 in one set.
+            vec![rule(0.0, 10.0, 2.0, 1.0, 3, 0.1), wide],
+        ] {
+            let json = serde_json::to_string(&RuleSetPredictor::with_all_rules(rules)).unwrap();
+            let err = RuleSetPredictor::load_json(json.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        }
     }
 
     #[test]

@@ -4,9 +4,13 @@
 //! Everything here is small and deterministic: Miri interprets every
 //! instruction, so these tests trade breadth for being cheap enough to
 //! retire undefined-behavior risk in the word-twiddling kernels — the
-//! bitset, the compiled predictor's columnar scan, the packed Gram kernel's
-//! tile indexing, and the checkpoint byte round-trip (the one test that touches the filesystem; the CI job
-//! sets `MIRIFLAGS=-Zmiri-disable-isolation` for it).
+//! bitset, the compiled predictor's segment index and bitset AND (checked
+//! against the §3.4 oracle in `common/`), the packed Gram kernel's tile
+//! indexing, and the checkpoint byte round-trip (the one test that touches
+//! the filesystem; the CI job sets `MIRIFLAGS=-Zmiri-disable-isolation` for
+//! it).
+
+mod common;
 
 use evoforecast_core::checkpoint::{
     fingerprint_json, EnsembleCheckpoint, ExecutionOutcome, OutcomeStatus, CHECKPOINT_VERSION,
@@ -95,7 +99,7 @@ fn bitset_ops_match_a_naive_model() {
 }
 
 #[test]
-fn compiled_predictor_is_bitwise_identical_to_the_scan_engine() {
+fn compiled_predictor_is_bitwise_identical_to_the_oracle() {
     let rules = vec![
         Rule {
             condition: Condition::new(vec![Gene::bounded(0.0, 5.0), Gene::Wildcard]),
@@ -124,23 +128,25 @@ fn compiled_predictor_is_bitwise_identical_to_the_scan_engine() {
     ];
     let predictor = RuleSetPredictor::new(rules);
     let compiled = CompiledRuleSet::compile(&predictor);
+    let mut scratch = compiled.scratch();
 
     let mut rng = Lcg(0xfeed);
-    for combination in [Combination::Mean, Combination::InverseErrorWeighted] {
-        for _ in 0..48 {
-            let window = [
-                (rng.next() % 1000) as f64 / 100.0 - 1.0,
-                (rng.next() % 1000) as f64 / 100.0 - 2.0,
-            ];
-            let scan = predictor.predict_with(&window, combination);
-            let fast = compiled.predict_with(&window, combination);
-            match (scan, fast) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.to_bits(), b.to_bits(), "window {window:?}");
-                }
-                other => panic!("engines disagree on abstention: {other:?} for {window:?}"),
-            }
+    for _ in 0..48 {
+        let window = [
+            (rng.next() % 1000) as f64 / 100.0 - 1.0,
+            (rng.next() % 1000) as f64 / 100.0 - 2.0,
+        ];
+        common::assert_matches_oracle(&predictor, &window);
+        for combination in [Combination::Mean, Combination::InverseErrorWeighted] {
+            assert_eq!(
+                common::bits(compiled.predict_with_into(&window, combination, &mut scratch)),
+                common::bits(common::predict_with(
+                    predictor.rules(),
+                    &window,
+                    combination
+                )),
+                "{combination:?} at {window:?}"
+            );
         }
     }
 }

@@ -16,16 +16,15 @@ fn default_horizon() -> usize {
     1
 }
 
-/// Which prediction engine answers a request — both are bit-identical, the
-/// switch exists for A/B measurement (and as an escape hatch).
+/// The prediction engine named in requests and responses. There is one:
+/// every forecast answers from the compiled rule set, and a request naming
+/// any other engine is a `bad-request`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 #[serde(rename_all = "kebab-case")]
 pub enum EngineKind {
     /// Interval-projection compiled predictor (binary searches + bitset AND).
     #[default]
     Compiled,
-    /// The original O(R·D) linear scan over every rule.
-    Scan,
 }
 
 /// How simultaneously firing rules are combined — mirrors
@@ -71,7 +70,7 @@ pub struct ForecastRequest {
     /// Opt in to per-window firing diagnostics.
     #[serde(default)]
     pub detail: bool,
-    /// Prediction engine (A/B switch; both engines are bit-identical).
+    /// Prediction engine; `compiled`, the only one, when absent.
     #[serde(default)]
     pub engine: EngineKind,
 }
@@ -261,15 +260,18 @@ mod tests {
     #[test]
     fn kebab_case_enums_round_trip() {
         let req: ForecastRequest = serde_json::from_str(
-            r#"{"windows": [], "combination": "inverse-error-weighted", "engine": "scan"}"#,
+            r#"{"windows": [], "combination": "inverse-error-weighted", "engine": "compiled"}"#,
         )
         .unwrap();
         assert_eq!(req.combination, CombinationMode::InverseErrorWeighted);
-        assert_eq!(req.engine, EngineKind::Scan);
+        assert_eq!(req.engine, EngineKind::Compiled);
         let json = serde_json::to_string(&req).unwrap();
+        assert!(json.contains(r#""engine":"compiled""#), "{json}");
         let back: ForecastRequest = serde_json::from_str(&json).unwrap();
         assert_eq!(back.combination, req.combination);
         assert_eq!(back.engine, req.engine);
+        // `scan` names no engine, so the request does not decode.
+        assert!(serde_json::from_str::<ForecastRequest>(r#"{"engine": "scan"}"#).is_err());
     }
 
     #[test]

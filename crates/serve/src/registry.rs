@@ -30,9 +30,8 @@ pub struct ModelEntry {
     pub fingerprint: u64,
     /// Bumped on every successful swap of this slot.
     pub version: u64,
-    /// The rule set in scan form (reference engine, free-run, diagnostics).
-    pub predictor: RuleSetPredictor,
-    /// The same rule set lowered for serving.
+    /// The rule set, compiled once at install; every forecast answers from
+    /// it.
     pub compiled: CompiledRuleSet,
 }
 
@@ -47,7 +46,7 @@ impl ModelEntry {
         ModelInfo {
             name: self.name.clone(),
             version: self.version,
-            rules: self.predictor.len(),
+            rules: self.compiled.len(),
             window: self.spec.window(),
             horizon: self.spec.horizon(),
             spacing: self.spec.spacing(),
@@ -261,7 +260,6 @@ impl ModelRegistry {
             spec,
             fingerprint,
             version,
-            predictor,
             compiled,
         });
         slots.insert(name.to_string(), Arc::clone(&entry));
@@ -274,6 +272,7 @@ mod tests {
     use super::*;
     use evoforecast_core::prelude::ModelMetadata;
     use evoforecast_core::rule::{Condition, Gene, Rule};
+    use evoforecast_core::Combination;
 
     fn rule(lo: f64, hi: f64, value: f64) -> Rule {
         Rule {
@@ -294,6 +293,11 @@ mod tests {
         WindowSpec::new(2, 1).unwrap()
     }
 
+    fn predict(entry: &ModelEntry, window: &[f64]) -> Option<f64> {
+        let compiled = &entry.compiled;
+        compiled.predict_with_into(window, Combination::Mean, &mut compiled.scratch())
+    }
+
     #[test]
     fn install_get_list_round_trip() {
         let reg = ModelRegistry::new();
@@ -302,11 +306,7 @@ mod tests {
         let entry = reg.get("tides").unwrap();
         assert_eq!(entry.name(), "tides");
         assert_eq!(entry.version, 1);
-        assert_eq!(entry.predictor.predict(&[1.0, 2.0]), Some(4.0));
-        assert_eq!(
-            entry.compiled.predict(&[1.0, 2.0]),
-            entry.predictor.predict(&[1.0, 2.0])
-        );
+        assert_eq!(predict(&entry, &[1.0, 2.0]), Some(4.0));
         let infos = reg.list();
         assert_eq!(infos.len(), 1);
         assert_eq!(infos[0].name, "tides");
@@ -322,7 +322,7 @@ mod tests {
         reg.install("m", spec(), predictor(2.0)).unwrap();
         let entry = reg.get("m").unwrap();
         assert_eq!(entry.version, 2);
-        assert_eq!(entry.predictor.predict(&[1.0, 1.0]), Some(2.0));
+        assert_eq!(predict(&entry, &[1.0, 1.0]), Some(2.0));
     }
 
     #[test]
@@ -332,7 +332,7 @@ mod tests {
         let old = reg.get("m").unwrap();
         reg.install("m", spec(), predictor(2.0)).unwrap();
         // The grabbed entry still answers with the old model.
-        assert_eq!(old.predictor.predict(&[1.0, 1.0]), Some(1.0));
+        assert_eq!(predict(&old, &[1.0, 1.0]), Some(1.0));
         assert_eq!(reg.get("m").unwrap().version, 2);
     }
 
@@ -366,7 +366,7 @@ mod tests {
 
         let entry = reg.reload("m", &good, ArtifactKind::Model).unwrap();
         assert_eq!(entry.version, 2);
-        assert_eq!(entry.predictor.predict(&[1.0, 1.0]), Some(7.0));
+        assert_eq!(predict(&entry, &[1.0, 1.0]), Some(7.0));
 
         let err = reg.reload("m", &bad, ArtifactKind::Model).unwrap_err();
         assert!(
@@ -376,7 +376,7 @@ mod tests {
         // Old model keeps serving at the same version.
         let entry = reg.get("m").unwrap();
         assert_eq!(entry.version, 2);
-        assert_eq!(entry.predictor.predict(&[1.0, 1.0]), Some(7.0));
+        assert_eq!(predict(&entry, &[1.0, 1.0]), Some(7.0));
 
         std::fs::remove_file(&good).ok();
         std::fs::remove_file(&bad).ok();

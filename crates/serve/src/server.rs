@@ -15,8 +15,8 @@
 
 use crate::http::{self, HttpError, Request};
 use crate::protocol::{
-    EngineKind, ErrorKind, ErrorResponse, ForecastRequest, ForecastResponse, ReloadRequest,
-    ReloadResponse, WindowDetail,
+    ErrorKind, ErrorResponse, ForecastRequest, ForecastResponse, ReloadRequest, ReloadResponse,
+    WindowDetail,
 };
 use crate::registry::{ModelEntry, ModelRegistry, RegistryError};
 use crate::stats::ServerStats;
@@ -406,34 +406,22 @@ fn forecast(
     Reply::ok(&response)
 }
 
-/// Run the batch on the snapshot the request grabbed. Both engines are
-/// bit-identical (pinned in `evoforecast-core`); the scratch bitset is
-/// allocated once and reused across the whole batch.
+/// Run the batch on the snapshot the request grabbed, with one scratch
+/// bitset allocated for the whole batch.
 fn predict_batch(req: &ForecastRequest, entry: &ModelEntry) -> ForecastResponse {
     let combination = req.combination.to_core();
-    let empty = entry.compiled.is_empty();
-    let mut scratch = entry.compiled.scratch();
-
+    let compiled = &entry.compiled;
+    let mut scratch = compiled.scratch();
     let mut single = |window: &[f64]| -> Option<f64> {
-        if empty {
-            return None;
-        }
-        match req.engine {
-            EngineKind::Compiled => {
-                entry
-                    .compiled
-                    .predict_with_into(window, combination, &mut scratch)
-            }
-            EngineKind::Scan => entry.predictor.predict_with(window, combination),
-        }
+        compiled.predict_with_into(window, combination, &mut scratch)
     };
 
     let mut predictions = Vec::with_capacity(req.windows.len());
     let mut trajectories = (req.horizon > 1).then(|| Vec::with_capacity(req.windows.len()));
     for window in &req.windows {
         if let Some(trajs) = &mut trajectories {
-            // Closed-loop free run with the selected engine: slide the
-            // window by one per step, stop at the first abstention.
+            // Closed-loop free run: slide the window by one per step, stop
+            // at the first abstention.
             let mut rolling = window.clone();
             let d = rolling.len();
             let mut traj = Vec::with_capacity(req.horizon);
@@ -459,19 +447,12 @@ fn predict_batch(req: &ForecastRequest, entry: &ModelEntry) -> ForecastResponse 
         req.windows
             .iter()
             .map(|window| {
-                if empty {
-                    return None;
-                }
-                let detail = match req.engine {
-                    EngineKind::Compiled => {
-                        entry.compiled.predict_detailed_into(window, &mut scratch)
-                    }
-                    EngineKind::Scan => entry.predictor.predict_detailed(window),
-                };
-                detail.map(|d| WindowDetail {
-                    firing_rules: d.firing_rules,
-                    expected_error: d.expected_error,
-                })
+                compiled
+                    .predict_detailed_into(window, &mut scratch)
+                    .map(|d| WindowDetail {
+                        firing_rules: d.firing_rules,
+                        expected_error: d.expected_error,
+                    })
             })
             .collect()
     });
@@ -504,7 +485,7 @@ fn reload(request: &Request, registry: &ModelRegistry, stats: &ServerStats) -> R
             Reply::ok(&ReloadResponse {
                 model: entry.name().to_string(),
                 version: entry.version,
-                rules: entry.predictor.len(),
+                rules: entry.compiled.len(),
                 fingerprint: entry.fingerprint,
             })
         }
@@ -522,7 +503,7 @@ fn reload(request: &Request, registry: &ModelRegistry, stats: &ServerStats) -> R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::CombinationMode;
+    use crate::protocol::{CombinationMode, EngineKind};
     use evoforecast_core::rule::{Condition, Gene, Rule};
     use evoforecast_core::RuleSetPredictor;
     use evoforecast_tsdata::window::WindowSpec;
@@ -556,40 +537,40 @@ mod tests {
             .unwrap()
     }
 
-    fn request(windows: Vec<Vec<f64>>, engine: EngineKind) -> ForecastRequest {
+    fn request(windows: Vec<Vec<f64>>) -> ForecastRequest {
         ForecastRequest {
             model: "default".to_string(),
             windows,
             horizon: 1,
             combination: CombinationMode::Mean,
             detail: false,
-            engine,
+            engine: EngineKind::Compiled,
         }
     }
 
     #[test]
-    fn batch_engines_agree_bitwise() {
-        let entry = entry();
+    fn batch_predictions_are_the_rule_means() {
+        // Rule 0 answers x0 + 1 on x0 ∈ [0, 10]; rule 1 answers 2·x1 on
+        // x1 ∈ [0, 5].
         let windows = vec![
-            vec![3.0, 4.0],
-            vec![50.0, 2.0],
-            vec![50.0, 50.0], // abstains
-            vec![0.0, 0.0],
+            vec![3.0, 4.0],   // both: (4 + 8) / 2
+            vec![50.0, 2.0],  // rule 1 only
+            vec![50.0, 50.0], // neither: abstains
+            vec![0.0, 0.0],   // both: (1 + 0) / 2
         ];
-        let compiled = predict_batch(&request(windows.clone(), EngineKind::Compiled), &entry);
-        let scan = predict_batch(&request(windows, EngineKind::Scan), &entry);
-        let bits = |ps: &[Option<f64>]| -> Vec<Option<u64>> {
-            ps.iter().map(|p| p.map(f64::to_bits)).collect()
-        };
-        assert_eq!(bits(&compiled.predictions), bits(&scan.predictions));
-        assert_eq!(compiled.abstained, 1);
-        assert_eq!(scan.abstained, 1);
+        let resp = predict_batch(&request(windows), &entry());
+        assert_eq!(
+            resp.predictions,
+            vec![Some(6.0), Some(4.0), None, Some(0.5)]
+        );
+        assert_eq!(resp.abstained, 1);
+        assert_eq!(resp.engine, EngineKind::Compiled);
     }
 
     #[test]
     fn detail_opt_in_reports_firing_rules() {
         let entry = entry();
-        let mut req = request(vec![vec![3.0, 4.0], vec![50.0, 50.0]], EngineKind::Compiled);
+        let mut req = request(vec![vec![3.0, 4.0], vec![50.0, 50.0]]);
         req.detail = true;
         let resp = predict_batch(&req, &entry);
         let details = resp.details.unwrap();
@@ -599,20 +580,15 @@ mod tests {
 
     #[test]
     fn free_run_trajectories_stop_on_abstention() {
-        let entry = entry();
-        let mut req = request(vec![vec![3.0, 4.0]], EngineKind::Compiled);
-        req.horizon = 5;
-        let resp = predict_batch(&req, &entry);
+        let mut req = request(vec![vec![3.0, 4.0]]);
+        req.horizon = 10;
+        let resp = predict_batch(&req, &entry());
         let trajs = resp.trajectories.unwrap();
-        assert_eq!(trajs.len(), 1);
-        assert!(!trajs[0].is_empty());
-        assert!(trajs[0].len() <= 5);
-        assert_eq!(resp.predictions[0], trajs[0].first().copied());
-        // Scan engine walks the identical trajectory.
-        let mut req_scan = request(vec![vec![3.0, 4.0]], EngineKind::Scan);
-        req_scan.horizon = 5;
-        let scan = predict_batch(&req_scan, &entry);
-        assert_eq!(scan.trajectories.unwrap()[0], trajs[0]);
+        // Each step slides its prediction into the window; after eight
+        // steps the window is [10.5, 8], which no rule covers.
+        assert_eq!(trajs, vec![vec![6.0, 5.0, 8.5, 6.0, 9.5, 7.0, 10.5, 8.0]]);
+        assert_eq!(resp.predictions, vec![Some(6.0)]);
+        assert_eq!(resp.abstained, 0);
     }
 
     #[test]
@@ -625,7 +601,7 @@ mod tests {
                 RuleSetPredictor::new(vec![]),
             )
             .unwrap();
-        let resp = predict_batch(&request(vec![vec![1.0, 2.0]], EngineKind::Compiled), &entry);
+        let resp = predict_batch(&request(vec![vec![1.0, 2.0]]), &entry);
         assert_eq!(resp.predictions, vec![None]);
         assert_eq!(resp.abstained, 1);
     }

@@ -6,8 +6,10 @@
 mod common;
 
 use common::{get, parse_reply, post, raw_round_trip, start_server};
+use evoforecast_core::prelude::{ModelMetadata, TrainedModel};
+use evoforecast_core::RuleSetPredictor;
 use evoforecast_serve::server::ServerConfig;
-use evoforecast_serve::{ErrorKind, ForecastResponse};
+use evoforecast_serve::{EngineKind, ErrorKind, ForecastResponse};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -239,16 +241,69 @@ fn batch_detail_and_combination_over_the_wire() {
 }
 
 #[test]
-fn scan_and_compiled_engines_agree_over_the_wire() {
+fn scan_engine_is_a_typed_bad_request() {
     let server = start_server(ServerConfig::default(), 3.5);
     let addr = server.local_addr();
-    let body = r#"{"windows": [[1.0, 2.0], [90.0, 10.0]], "engine": "compiled"}"#;
-    let compiled: ForecastResponse =
-        serde_json::from_str(&post(addr, "/forecast", body).body).unwrap();
-    let body = r#"{"windows": [[1.0, 2.0], [90.0, 10.0]], "engine": "scan"}"#;
-    let scan: ForecastResponse = serde_json::from_str(&post(addr, "/forecast", body).body).unwrap();
-    assert_eq!(compiled.predictions, scan.predictions);
+    let r = post(
+        addr,
+        "/forecast",
+        r#"{"windows": [[1.0, 2.0], [90.0, 10.0]], "engine": "scan"}"#,
+    );
+    assert_eq!(r.status, 400, "{}", r.body);
+    assert_eq!(r.error_kind(), ErrorKind::BadRequest);
+
+    let r = post(
+        addr,
+        "/forecast",
+        r#"{"windows": [[1.0, 2.0], [190.0, 10.0]], "engine": "compiled"}"#,
+    );
+    assert_eq!(r.status, 200, "{}", r.body);
+    let resp: ForecastResponse = serde_json::from_str(&r.body).unwrap();
+    assert_eq!(resp.predictions, vec![Some(3.5), None]);
+    assert_eq!(resp.engine, EngineKind::Compiled);
     server.shutdown();
+}
+
+#[test]
+fn malformed_artifact_is_refused_and_workers_survive() {
+    // The second rule has 1 coefficient under a 2-gene condition. Served,
+    // the first forecast firing it would index past the coefficient table.
+    let mut short = common::flat_predictor(9.0).rules()[0].clone();
+    short.coefficients.truncate(1);
+    let rules = vec![common::flat_predictor(8.0).rules()[0].clone(), short];
+    let dir = std::env::temp_dir().join(format!("evoforecast_protocol_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("short_coefficients.json");
+    TrainedModel::new(
+        common::spec(),
+        RuleSetPredictor::with_all_rules(rules),
+        ModelMetadata::default(),
+    )
+    .save_json_file(&path)
+    .unwrap();
+
+    let config = ServerConfig::default();
+    let workers = config.workers;
+    let server = start_server(config, 42.0);
+    let addr = server.local_addr();
+    let r = post(
+        addr,
+        "/reload",
+        &format!(r#"{{"path": {:?}}}"#, path.display().to_string()),
+    );
+    assert_eq!(r.status, 422, "{}", r.body);
+    assert_eq!(r.error_kind(), ErrorKind::ReloadFailed);
+
+    // More forecasts than workers: each is answered by the old model.
+    for _ in 0..workers + 2 {
+        let r = post(addr, "/forecast", r#"{"windows": [[1.0, 2.0]]}"#);
+        assert_eq!(r.status, 200, "{}", r.body);
+        let resp: ForecastResponse = serde_json::from_str(&r.body).unwrap();
+        assert_eq!(resp.predictions, vec![Some(42.0)]);
+        assert_eq!(resp.model_version, 1);
+    }
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

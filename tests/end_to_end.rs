@@ -123,7 +123,7 @@ fn abstention_consistency_between_coverage_and_predictions() {
     let predictor = train_quick(train, spec, 3);
 
     let ds = spec.dataset(valid).unwrap();
-    let predictions = predictor.predict_dataset(&ds, usize::MAX);
+    let predictions = predictor.predict_dataset(&ds);
     let some_count = predictions.iter().filter(|p| p.is_some()).count();
     let coverage = predictor.coverage(&ds);
     assert!((coverage - some_count as f64 / ds.len() as f64).abs() < 1e-12);
