@@ -1,7 +1,7 @@
-//! **P1** — Criterion micro-benchmarks of the engine's hot kernels:
-//! rule matching over a training sweep, one gene's match bitset by range
-//! query vs column sweep, the regression refit of an offspring's predicting
-//! part, one full steady-state generation, and a batch prediction pass.
+//! **P1** — Criterion micro-benchmarks of the engine's hot kernels: one
+//! gene's match bitset by range query vs column sweep, the regression refit
+//! of an offspring's predicting part, one full steady-state generation, and
+//! a prediction pass over a dataset.
 //!
 //! Run: `cargo bench -p evoforecast-bench --bench micro_core`
 
@@ -10,7 +10,6 @@ use evoforecast_core::config::EngineConfig;
 use evoforecast_core::dataset::{fill_gene_bitset, ColumnStore};
 use evoforecast_core::engine::Engine;
 use evoforecast_core::matchindex::MatchIndex;
-use evoforecast_core::parallel::match_bitset;
 use evoforecast_core::predict::RuleSetPredictor;
 use evoforecast_core::regress;
 use evoforecast_core::rule::{Condition, Gene};
@@ -38,18 +37,6 @@ fn typical_condition() -> Condition {
         })
         .collect();
     Condition::new(genes)
-}
-
-fn bench_matching(c: &mut Criterion) {
-    let values = series();
-    let ds = WindowSpec::new(D, 1).unwrap().dataset(&values).unwrap();
-    let cond = typical_condition();
-    c.bench_function("match_10k_windows_seq", |b| {
-        b.iter(|| black_box(match_bitset(black_box(&cond), &ds, usize::MAX)))
-    });
-    c.bench_function("match_10k_windows_par", |b| {
-        b.iter(|| black_box(match_bitset(black_box(&cond), &ds, 1)))
-    });
 }
 
 fn bench_match_index(c: &mut Criterion) {
@@ -85,15 +72,21 @@ fn bench_regression_refit(c: &mut Criterion) {
     let values = series();
     let ds = WindowSpec::new(D, 1).unwrap().dataset(&values).unwrap();
     let cond = typical_condition();
-    let matched = match_bitset(&cond, &ds, usize::MAX).to_indices();
+    let mut matched = MatchBitset::new(ds.len());
+    for i in 0..ds.len() {
+        if cond.matches(ds.window(i)) {
+            matched.set(i);
+        }
+    }
     c.bench_function(
-        &format!("refit_predicting_part_{}_windows", matched.len()),
+        &format!("refit_predicting_part_{}_windows", matched.count_ones()),
         |b| {
             b.iter(|| {
-                black_box(regress::fit_part(
+                black_box(regress::fit_via_bitset(
                     black_box(&matched),
                     &ds,
                     RegressionOptions::fast(),
+                    usize::MAX,
                 ))
             })
         },
@@ -119,7 +112,7 @@ fn bench_engine_step(c: &mut Criterion) {
     });
 }
 
-fn bench_batch_predict(c: &mut Criterion) {
+fn bench_predict_dataset(c: &mut Criterion) {
     let values = series();
     let spec = WindowSpec::new(D, 1).unwrap();
     let config = EngineConfig::for_series(&values, spec)
@@ -137,6 +130,6 @@ fn bench_batch_predict(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_matching, bench_match_index, bench_regression_refit, bench_engine_step, bench_batch_predict
+    targets = bench_match_index, bench_regression_refit, bench_engine_step, bench_predict_dataset
 }
 criterion_main!(benches);

@@ -1,26 +1,13 @@
-//! **P1** — Offspring evaluation at Venice scale (45k windows × 24 taps):
-//! the old two-pass pipeline (match → collect indices → materialize the
-//! design matrix → factorize) against the fused single-pass kernel (match
-//! while accumulating the normal equations → Cholesky → residual pass over
-//! matched rows only).
+//! Offspring evaluation at Venice scale (45k windows × 24 taps). P1, the
+//! two-pass and fused from-scratch comparators, was retired with those
+//! paths; its numbers stay recorded in commit `4c63a7a`.
 //!
-//! Three comparators:
-//! * `old_two_pass_qr` — what [`evoforecast_core::regress::evaluate`] does
-//!   with default options: materialize + Householder QR (`O(2·K·p²)` flops
-//!   on the K×(D+1) design).
-//! * `old_two_pass_ridge` — same two passes + materialization, but the
-//!   ridge normal-equations solve (the engine's previous hot path).
-//! * `fused_single_pass` — the fused kernel
-//!   ([`evoforecast_core::parallel::match_and_accumulate`], now the test
-//!   reference for the engine's delta path), which never materializes the
-//!   design.
-//!
-//! **P2** — Delta re-evaluation of offspring against the fused kernel, on a
-//! *selective* evolved-style condition (the common case once the population
-//! has specialized). Offspring are never evaluated from scratch by the
-//! engine any more: crossover copies per-gene match bitsets from the donor
-//! parent and mutation recomputes only the mutated gene's bitset, so the
-//! comparators here measure exactly what `Engine::step` now pays:
+//! **P2** — Delta re-evaluation of offspring on a *selective* evolved-style
+//! condition (the common case once the population has specialized).
+//! Offspring are never evaluated from scratch by the engine: crossover
+//! copies per-gene match bitsets from the donor parent and mutation
+//! recomputes only the mutated gene's bitset, so the comparators here
+//! measure exactly what `Engine::step` pays:
 //! * `delta_mutation` — recompute the one mutated (most selective) gene's
 //!   bitset by a columnar sweep, copy the other `D−1` gene bitsets from the
 //!   donor, AND in ascending-selectivity order, rebuild Gram/Xᵀy over the
@@ -39,10 +26,13 @@
 //! It asserts the two agree bit for bit (every Gram and `Xᵀy` entry, `Σ y`
 //! and the count) and prints nanoseconds per matched row for each.
 //!
+//! Both groups check their match set against a literal scan of every
+//! window before measuring.
+//!
 //! Run: `cargo bench -p evoforecast-bench --bench micro_eval`
-//! Its first measurements were recorded in commit `4c63a7a` (broad group)
-//! and commit `e9c2c5b` (selective group); `git show <commit> -- '*.json'`
-//! prints them.
+//! Its first measurements were recorded in commit `4c63a7a` (the retired
+//! broad group) and commit `e9c2c5b` (selective group);
+//! `git show <commit> -- '*.json'` prints them.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use evoforecast_core::dataset;
@@ -68,8 +58,8 @@ fn series() -> Vec<f64> {
 }
 
 /// A broad evolved-style condition: bounded on most taps, wide enough to
-/// match the bulk of the training windows — the worst case for evaluation
-/// cost and the common case early in a run.
+/// match the bulk of the training windows; the selective condition below
+/// narrows it.
 fn broad_condition() -> Condition {
     let genes = (0..D)
         .map(|i| {
@@ -90,11 +80,8 @@ const K_TARGET: usize = 500;
 
 /// A selective evolved-style condition: the broad genes above plus one
 /// narrow interval on the *last* tap, chosen from the sorted column so it
-/// admits ~[`K_TARGET`] windows. Placing the selective gene last is the
-/// worst case for the fused row-scan (it short-circuits on the first
-/// failing gene, so here it pays nearly the full `O(N·D)` match) and the
-/// common case for delta evaluation (one `O(N)` column sweep + `N·D/64`
-/// AND words).
+/// admits ~[`K_TARGET`] windows: the common case for delta evaluation (one
+/// `O(N)` column sweep + `N·D/64` AND words).
 fn selective_condition(ds: &impl ExampleSet) -> Condition {
     let col = ds.column(D - 1).expect("spacing-1 windows expose columns");
     let mut sorted = col.to_vec();
@@ -121,58 +108,16 @@ fn gene_sets_for(cond: &Condition, ds: &impl ExampleSet, columns: &ColumnStore) 
     gs
 }
 
-fn fused(
-    cond: &Condition,
-    ds: &WindowedDataset<'_>,
-    opts: RegressionOptions,
-) -> (
-    MatchBitset,
-    NormalEqAccumulator,
-    Option<regress::FittedPart>,
-) {
-    let (bits, acc) = parallel::match_and_accumulate(cond, ds, opts, usize::MAX);
-    let model = regress::fit_from_accumulator(&acc, &bits, ds, opts);
-    (bits, acc, model)
-}
-
-fn bench_eval(c: &mut Criterion) {
-    let values = series();
-    let ds = WindowSpec::new(D, TAU).unwrap().dataset(&values).unwrap();
-    assert_eq!(ds.len(), WINDOWS);
-    let cond = broad_condition();
-    let opts = RegressionOptions::fast();
-
-    // Sanity: the comparison is apples-to-apples — same matched set, same
-    // coefficients (within tolerance) from every path.
-    let reference = regress::evaluate(&cond, &ds, opts);
-    let (bits, acc, model) = fused(&cond, &ds, opts);
-    assert_eq!(bits.to_indices(), reference.matched);
-    assert!(
-        acc.count() > WINDOWS / 4,
-        "broad condition should match broadly"
-    );
-    let (m, r) = (model.unwrap(), reference.model.unwrap());
-    assert!((m.error - r.error).abs() < 1e-9);
-
-    let mut g = c.benchmark_group(format!("eval_venice_{}_windows", acc.count()));
-    g.sample_size(10);
-
-    g.bench_function("old_two_pass_qr", |b| {
-        b.iter(|| {
-            black_box(regress::evaluate(
-                black_box(&cond),
-                &ds,
-                RegressionOptions::default(),
-            ))
-        })
-    });
-    g.bench_function("old_two_pass_ridge", |b| {
-        b.iter(|| black_box(regress::evaluate(black_box(&cond), &ds, opts)))
-    });
-    g.bench_function("fused_single_pass", |b| {
-        b.iter(|| black_box(fused(black_box(&cond), &ds, opts)))
-    });
-    g.finish();
+/// The windows `cond` matches, by testing every window against the whole
+/// condition.
+fn scan(cond: &Condition, ds: &WindowedDataset<'_>) -> MatchBitset {
+    let mut bits = MatchBitset::new(ds.len());
+    for i in 0..ds.len() {
+        if cond.matches(ds.window(i)) {
+            bits.set(i);
+        }
+    }
+    bits
 }
 
 fn bench_delta(c: &mut Criterion) {
@@ -191,20 +136,18 @@ fn bench_delta(c: &mut Criterion) {
     );
 
     // The two parents an offspring copies its gene bitsets from. Identical
-    // content so every comparator yields the same matched set (apples to
-    // apples with the fused kernel below), but two distinct allocations so
-    // crossover's copy traffic touches both parents as in `Engine::step`.
+    // content so every comparator yields the same matched set, but two
+    // distinct allocations so crossover's copy traffic touches both parents
+    // as in `Engine::step`.
     let parent_a = gene_sets_for(&cond, &ds, &columns);
     let parent_b = gene_sets_for(&cond, &ds, &columns);
     let mut scratch = GeneBitsets::new(D, ds.len());
     let mut full = MatchBitset::new(ds.len());
 
     // Sanity before measuring: the delta path (copy D−1 genes, recompute the
-    // mutated one, AND, rebuild Gram/Xᵀy over set bits) is bit-identical to
-    // the fused from-scratch kernel — same matched set, same coefficients,
-    // same e_R, not merely within tolerance.
-    let (bits, acc, model) = fused(&cond, &ds, opts);
-    let k = acc.count();
+    // mutated one, AND) yields exactly the windows a full scan matches.
+    let bits = scan(&cond, &ds);
+    let k = bits.count_ones();
     assert!(
         (300..=1_000).contains(&k),
         "selective condition should match ~{K_TARGET} windows, got {k}"
@@ -216,20 +159,11 @@ fn bench_delta(c: &mut Criterion) {
         dataset::fill_gene_bitset(columns.column(&ds, D - 1), sel_lo, sel_hi, out)
     });
     scratch.intersect_into(&mut full);
-    assert_eq!(full, bits, "delta match set must equal the fused scan");
-    let (count, delta_model) = regress::fit_via_bitset(&full, &ds, opts, usize::MAX);
-    assert_eq!(count, k);
-    let (m, d) = (model.unwrap(), delta_model.unwrap());
-    assert_eq!(m.coefficients, d.coefficients);
-    assert_eq!(m.intercept, d.intercept);
-    assert_eq!(m.error, d.error);
+    assert_eq!(full, bits, "delta match set must equal the full scan");
 
     let mut g = c.benchmark_group(format!("delta_venice_{k}_matched"));
     g.sample_size(10);
 
-    g.bench_function("fused_single_pass", |b| {
-        b.iter(|| black_box(fused(black_box(&cond), &ds, opts)))
-    });
     g.bench_function("delta_mutation", |b| {
         b.iter(|| {
             for gi in 0..D - 1 {
@@ -291,7 +225,7 @@ fn bench_gram(c: &mut Criterion) {
     let ds = WindowSpec::new(D, TAU).unwrap().dataset(&values).unwrap();
     let cond = selective_condition(&ds);
     let opts = RegressionOptions::fast();
-    let (bits, _) = parallel::match_and_accumulate(&cond, &ds, opts, usize::MAX);
+    let bits = scan(&cond, &ds);
     let k = bits.count_ones();
 
     let packed = parallel::accumulate_from_bitset(&bits, &ds, opts, usize::MAX);
@@ -339,5 +273,5 @@ fn bench_gram(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_eval, bench_delta, bench_gram);
+criterion_group!(benches, bench_delta, bench_gram);
 criterion_main!(benches);

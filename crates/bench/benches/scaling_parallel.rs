@@ -1,16 +1,19 @@
-//! **A4** — parallel-scaling bench (the hpc deliverable): rayon-parallel vs
-//! sequential rule matching and batch prediction across dataset sizes.
+//! **A4** — parallel-scaling bench: the engine's Gram build
+//! (`parallel::accumulate_from_bitset`) below and above
+//! `EngineConfig::parallel_threshold`, across dataset sizes.
 //!
 //! The interesting result is the crossover: below a few thousand windows the
-//! rayon dispatch overhead loses to the sequential loop (which is why
-//! `EngineConfig::parallel_threshold` defaults to 8192); above it, matching
-//! scales with cores.
+//! rayon dispatch overhead loses to the sequential chunk loop (which is why
+//! `EngineConfig::parallel_threshold` defaults to 8192); above it, the
+//! per-chunk accumulation scales with cores.
 //!
 //! Run: `cargo bench -p evoforecast-bench --bench scaling_parallel`
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use evoforecast_core::parallel::{batch_predict, match_bitset};
+use evoforecast_core::parallel::accumulate_from_bitset;
 use evoforecast_core::rule::{Condition, Gene};
+use evoforecast_core::MatchBitset;
+use evoforecast_linalg::regression::RegressionOptions;
 use evoforecast_tsdata::gen::venice::VeniceTide;
 use evoforecast_tsdata::window::WindowSpec;
 use std::hint::black_box;
@@ -30,42 +33,25 @@ fn condition() -> Condition {
     Condition::new(genes)
 }
 
-fn bench_match_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("match_bitset");
+fn bench_gram_scaling(c: &mut Criterion) {
+    let mut group = c.benchmark_group("accumulate_from_bitset");
+    let cond = condition();
+    let opts = RegressionOptions::fast();
     for &n in &[2_000usize, 8_000, 32_000, 128_000] {
         let values = VeniceTide::default().generate(n + D + 1, 3).into_values();
         let ds = WindowSpec::new(D, 1).unwrap().dataset(&values).unwrap();
-        let cond = condition();
-        group.throughput(Throughput::Elements(ds.len() as u64));
-        group.bench_with_input(BenchmarkId::new("sequential", n), &n, |b, _| {
-            b.iter(|| black_box(match_bitset(&cond, &ds, usize::MAX)))
-        });
-        group.bench_with_input(BenchmarkId::new("rayon", n), &n, |b, _| {
-            b.iter(|| black_box(match_bitset(&cond, &ds, 1)))
-        });
-    }
-    group.finish();
-}
-
-fn bench_predict_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batch_predict");
-    let cond = condition();
-    for &n in &[8_000usize, 64_000] {
-        let values = VeniceTide::default().generate(n + D + 1, 4).into_values();
-        let ds = WindowSpec::new(D, 1).unwrap().dataset(&values).unwrap();
-        let f = |w: &[f64]| {
-            if cond.matches(w) {
-                Some(w.iter().sum::<f64>() / w.len() as f64)
-            } else {
-                None
+        let mut bits = MatchBitset::new(ds.len());
+        for i in 0..ds.len() {
+            if cond.matches(ds.window(i)) {
+                bits.set(i);
             }
-        };
-        group.throughput(Throughput::Elements(ds.len() as u64));
+        }
+        group.throughput(Throughput::Elements(bits.count_ones() as u64));
         group.bench_with_input(BenchmarkId::new("sequential", n), &n, |b, _| {
-            b.iter(|| black_box(batch_predict(&ds, usize::MAX, f)))
+            b.iter(|| black_box(accumulate_from_bitset(&bits, &ds, opts, usize::MAX)))
         });
         group.bench_with_input(BenchmarkId::new("rayon", n), &n, |b, _| {
-            b.iter(|| black_box(batch_predict(&ds, 1, f)))
+            b.iter(|| black_box(accumulate_from_bitset(&bits, &ds, opts, 1)))
         });
     }
     group.finish();
@@ -74,6 +60,6 @@ fn bench_predict_scaling(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_match_scaling, bench_predict_scaling
+    targets = bench_gram_scaling
 }
 criterion_main!(benches);

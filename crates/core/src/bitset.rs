@@ -169,16 +169,7 @@ impl MatchBitset {
         }
     }
 
-    /// Overwrite the words starting at word index `word_offset` with `words`
-    /// (used to stitch per-chunk results; chunk boundaries are word-aligned).
-    ///
-    /// # Panics
-    /// Panics when the span exceeds the universe.
-    pub(crate) fn splice_words(&mut self, word_offset: usize, words: &[u64]) {
-        self.words[word_offset..word_offset + words.len()].copy_from_slice(words);
-    }
-
-    /// Raw word view — the chunked accumulation kernels and checkpoint
+    /// Raw word view — the chunked accumulation kernel and checkpoint
     /// serialization ([`crate::checkpoint::EnsembleCheckpoint::covered_words`])
     /// read the universe as packed `u64`s.
     pub fn words(&self) -> &[u64] {

@@ -8,24 +8,14 @@
 use crate::rule::{Condition, Gene};
 use rand::Rng;
 
-/// Produce one offspring condition by uniform gene-wise inheritance.
+/// Produce one offspring condition by uniform gene-wise inheritance,
+/// recording each gene's provenance into `from_a` (`true` = inherited from
+/// parent `a`). The delta evaluation path uses the provenance to copy the
+/// donor parent's per-gene match bitset instead of rescanning the data.
 ///
 /// # Panics
 /// Panics when the parents have different window lengths — impossible within
 /// one run, so this is an internal invariant.
-pub fn uniform<R: Rng>(a: &Condition, b: &Condition, rng: &mut R) -> Condition {
-    let mut from_a = Vec::new();
-    uniform_into(a, b, rng, &mut from_a)
-}
-
-/// [`uniform`], additionally recording each gene's provenance into `from_a`
-/// (`true` = inherited from parent `a`). The delta evaluation path uses the
-/// provenance to copy the donor parent's per-gene match bitset instead of
-/// rescanning the data. Draws exactly the same RNG sequence as [`uniform`],
-/// so the two are interchangeable without perturbing a seeded run.
-///
-/// # Panics
-/// Panics when the parents have different window lengths.
 pub fn uniform_into<R: Rng>(
     a: &Condition,
     b: &Condition,
@@ -89,7 +79,7 @@ mod tests {
         let (a, b) = (parent_a(), parent_b());
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         for _ in 0..100 {
-            let child = uniform(&a, &b, &mut rng);
+            let child = uniform_into(&a, &b, &mut rng, &mut Vec::new());
             assert_eq!(child.len(), a.len());
             for (i, g) in child.genes().iter().enumerate() {
                 assert!(
@@ -107,7 +97,7 @@ mod tests {
         let mut from_a = 0usize;
         let mut from_b = 0usize;
         for _ in 0..400 {
-            let child = uniform(&a, &b, &mut rng);
+            let child = uniform_into(&a, &b, &mut rng, &mut Vec::new());
             for (i, g) in child.genes().iter().enumerate() {
                 // Positions where the parents differ are informative.
                 if a.genes()[i] != b.genes()[i] {
@@ -143,27 +133,18 @@ mod tests {
     }
 
     #[test]
-    fn tracked_and_untracked_draw_the_same_rng_sequence() {
-        let (a, b) = (parent_a(), parent_b());
-        let plain = uniform(&a, &b, &mut ChaCha8Rng::seed_from_u64(13));
-        let mut from_a = Vec::new();
-        let tracked = uniform_into(&a, &b, &mut ChaCha8Rng::seed_from_u64(13), &mut from_a);
-        assert_eq!(plain, tracked);
-    }
-
-    #[test]
     fn identical_parents_produce_clone() {
         let a = parent_a();
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let child = uniform(&a, &a, &mut rng);
+        let child = uniform_into(&a, &a, &mut rng, &mut Vec::new());
         assert_eq!(child, a);
     }
 
     #[test]
     fn deterministic_given_seed() {
         let (a, b) = (parent_a(), parent_b());
-        let c1 = uniform(&a, &b, &mut ChaCha8Rng::seed_from_u64(11));
-        let c2 = uniform(&a, &b, &mut ChaCha8Rng::seed_from_u64(11));
+        let c1 = uniform_into(&a, &b, &mut ChaCha8Rng::seed_from_u64(11), &mut Vec::new());
+        let c2 = uniform_into(&a, &b, &mut ChaCha8Rng::seed_from_u64(11), &mut Vec::new());
         assert_eq!(c1, c2);
     }
 
@@ -172,7 +153,7 @@ mod tests {
     fn mismatched_lengths_panic() {
         let a = Condition::all_wildcards(3);
         let b = Condition::all_wildcards(4);
-        uniform(&a, &b, &mut ChaCha8Rng::seed_from_u64(0));
+        uniform_into(&a, &b, &mut ChaCha8Rng::seed_from_u64(0), &mut Vec::new());
     }
 
     proptest! {
@@ -180,7 +161,7 @@ mod tests {
         fn offspring_genes_always_well_formed(seed in 0u64..500) {
             let (a, b) = (parent_a(), parent_b());
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let child = uniform(&a, &b, &mut rng);
+            let child = uniform_into(&a, &b, &mut rng, &mut Vec::new());
             prop_assert!(child.genes().iter().all(|g| g.is_well_formed()));
         }
     }

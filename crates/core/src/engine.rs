@@ -13,8 +13,9 @@
 //! bitsets, mutation recomputes only the mutated genes (sorted-projection
 //! range query or columnar sweep), and the full match set is a
 //! selectivity-ordered word-wise AND. Results are bit-identical to matching
-//! every window against the whole condition
-//! ([`crate::parallel::match_and_accumulate`], kept as the test reference).
+//! every window against the whole condition: the literal transcription of
+//! §3.1–3.3 in `tests/common/train.rs` pins every rule, match set and the
+//! training coverage to that, generation by generation.
 
 use crate::bitset::MatchBitset;
 use crate::config::EngineConfig;
@@ -412,35 +413,6 @@ impl<E: ExampleSet> GenericEngine<E> {
         self.covered as f64 / n as f64
     }
 
-    /// Reference implementation of [`Self::training_coverage`]: a full
-    /// `O(n · population)` sweep re-testing every window against every viable
-    /// condition. The viable-rule prefilter is hoisted out of the per-window
-    /// loop so unfit individuals cost nothing per window. Kept public for
-    /// tests and diagnostics; the incremental counter must always agree.
-    pub fn training_coverage_scan(&self) -> f64 {
-        let n = self.data.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let viable: Vec<&Condition> = self
-            .population
-            .individuals()
-            .iter()
-            .filter(|ind| !self.config.fitness.is_unfit(ind.fitness))
-            .map(|ind| &ind.rule.condition)
-            .collect();
-        if viable.is_empty() {
-            return 0.0;
-        }
-        let covered = (0..n)
-            .filter(|&i| {
-                let w = self.data.features(i);
-                viable.iter().any(|c| c.matches(w))
-            })
-            .count();
-        covered as f64 / n as f64
-    }
-
     /// The training windows matched by individual `k`'s condition.
     ///
     /// # Panics
@@ -527,8 +499,6 @@ fn build_gene_sets<E: ExampleSet>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel;
-    use crate::regress::fit_from_accumulator;
     use evoforecast_tsdata::gen::waves::{noisy_sine, sine};
     use evoforecast_tsdata::window::WindowSpec;
 
@@ -633,52 +603,6 @@ mod tests {
         assert_eq!(a, b, "same seed must reproduce the exact rule set");
         let c = run(12);
         assert_ne!(a, c, "different seeds should explore differently");
-    }
-
-    #[test]
-    fn delta_all_wildcard_condition_matches_everything() {
-        // Edge case: a condition of only wildcards has no per-gene bitset at
-        // all; the AND must yield the full universe and the fit must agree
-        // with the from-scratch fused kernel.
-        let series = noisy_sine(500, 25.0, 1.0, 0.05, 61);
-        let spec = WindowSpec::new(4, 1).unwrap();
-        let ds = spec.dataset(series.values()).unwrap();
-        let cond = Condition::all_wildcards(4);
-        let columns = ColumnStore::build(&ds);
-        let gs = build_gene_sets(&cond, &ds, &columns, &MatchIndex::build(&ds));
-        let mut full = MatchBitset::new(ExampleSet::len(&ds));
-        gs.intersect_into(&mut full);
-        assert!(full.all_set(), "all-wildcard must match every window");
-
-        let opts = RegressionOptions::fast();
-        let (count, model) = fit_via_bitset(&full, &ds, opts, usize::MAX);
-        let (scan_bits, acc) = parallel::match_and_accumulate(&cond, &ds, opts, usize::MAX);
-        assert_eq!(full, scan_bits);
-        assert_eq!(count, acc.count());
-        let reference = fit_from_accumulator(&acc, &scan_bits, &ds, opts).unwrap();
-        let model = model.unwrap();
-        assert_eq!(model.intercept.to_bits(), reference.intercept.to_bits());
-        assert_eq!(model.error.to_bits(), reference.error.to_bits());
-    }
-
-    #[test]
-    fn parallel_threshold_does_not_change_results() {
-        for (data_seed, engine_seed) in [(13, 21), (19, 29)] {
-            let series = noisy_sine(600, 25.0, 1.0, 0.05, data_seed);
-            let spec = WindowSpec::new(4, 1).unwrap();
-            let base = EngineConfig::for_series(series.values(), spec)
-                .with_population(20)
-                .with_generations(100)
-                .with_seed(engine_seed);
-            let mut seq_cfg = base.clone();
-            seq_cfg.parallel_threshold = usize::MAX;
-            let mut par_cfg = base;
-            par_cfg.parallel_threshold = 1;
-
-            let seq_rules = Engine::new(seq_cfg, series.values()).unwrap().run();
-            let par_rules = Engine::new(par_cfg, series.values()).unwrap().run();
-            assert_eq!(seq_rules, par_rules, "data seed {data_seed}");
-        }
     }
 
     #[test]
@@ -818,159 +742,6 @@ mod tests {
                 let cov = engine.training_coverage();
                 prop_assert!((0.0..=1.0).contains(&cov));
             }
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(48))]
-            #[test]
-            fn delta_single_gene_mutation_matches_from_scratch(
-                seed in 0u64..500,
-                n in 40usize..260,
-                d in 2usize..6,
-                lo_frac in 0.0..1.0f64,
-                width in 0.05..1.2f64,
-                wild_mask in 0u8..32,
-                mutate_gene_sel in 0usize..8,
-                to_wildcard_sel in 0u8..2,
-                new_lo_frac in 0.0..1.0f64,
-                new_width in 0.05..1.0f64,
-                threshold_sel in 0usize..2,
-                use_index_sel in 0u8..2,
-            ) {
-                prop_assume!(n > d + 6);
-                // threshold 1 exercises the rayon accumulation, MAX the
-                // sequential one — both must agree with the fused scan.
-                let threshold = [1usize, usize::MAX][threshold_sel];
-                let series = noisy_sine(n, 11.0, 1.0, 0.15, seed);
-                let ds = WindowSpec::new(d, 1).unwrap().dataset(series.values()).unwrap();
-                let nwin = ExampleSet::len(&ds);
-                let (min, max) = series
-                    .values()
-                    .iter()
-                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(a, b), &v| {
-                        (a.min(v), b.max(v))
-                    });
-                let span = max - min;
-                let genes: Vec<Gene> = (0..d)
-                    .map(|g| {
-                        if wild_mask & (1 << g) != 0 {
-                            Gene::Wildcard
-                        } else {
-                            let lo = min + lo_frac * span * 0.8;
-                            Gene::bounded(lo, lo + width * span)
-                        }
-                    })
-                    .collect();
-                let cond = Condition::new(genes);
-
-                // use_index_sel 1 refills through the engine's route (range
-                // query when the gene is selective), 0 through the column
-                // sweep alone.
-                let columns = ColumnStore::build(&ds);
-                let index = MatchIndex::build(&ds);
-                let refill = |gs: &mut GeneBitsets, g: usize, lo: f64, hi: f64| {
-                    if use_index_sel == 1 {
-                        refill_gene(gs, g, lo, hi, &columns, &ds, &index);
-                    } else {
-                        gs.recompute_with(g, |bits| {
-                            dataset::fill_gene_bitset(columns.column(&ds, g), lo, hi, bits)
-                        });
-                    }
-                };
-                let mut gs = GeneBitsets::new(d, nwin);
-                for (g, lo, hi) in cond.bounded() {
-                    refill(&mut gs, g, lo, hi);
-                }
-
-                // One-gene mutation, delta-maintained: only the touched
-                // gene's bitset changes.
-                let g = mutate_gene_sel % d;
-                let mut child = cond;
-                let new_gene = if to_wildcard_sel == 1 {
-                    Gene::Wildcard
-                } else {
-                    let lo = min + new_lo_frac * span * 0.8;
-                    Gene::bounded(lo, lo + new_width * span)
-                };
-                child.genes_mut()[g] = new_gene;
-                match new_gene {
-                    Gene::Wildcard => gs.set_wildcard(g),
-                    Gene::Bounded { lo, hi } => refill(&mut gs, g, lo, hi),
-                }
-                let mut full = MatchBitset::new(nwin);
-                gs.intersect_into(&mut full);
-                let opts = RegressionOptions::fast();
-                let (count, delta_model) = fit_via_bitset(&full, &ds, opts, threshold);
-
-                // From-scratch fused evaluation of the mutated condition.
-                let (scan_bits, acc) = parallel::match_and_accumulate(&child, &ds, opts, threshold);
-                prop_assert_eq!(&full, &scan_bits, "match sets differ");
-                prop_assert_eq!(count, acc.count());
-                let scratch_model = fit_from_accumulator(&acc, &scan_bits, &ds, opts);
-                match (delta_model, scratch_model) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        prop_assert_eq!(a.coefficients.len(), b.coefficients.len());
-                        for (x, y) in a.coefficients.iter().zip(&b.coefficients) {
-                            prop_assert_eq!(x.to_bits(), y.to_bits(),
-                                "coefficients must be bit-identical");
-                        }
-                        prop_assert_eq!(a.intercept.to_bits(), b.intercept.to_bits());
-                        prop_assert!((a.error - b.error).abs() <= 1e-9,
-                            "e_R drift {} vs {}", a.error, b.error);
-                    }
-                    (a, b) => prop_assert!(false,
-                        "fittability disagreement {:?} vs {:?}", a, b),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_coverage_always_equals_full_scan() {
-        // The O(1) counter must track the reference sweep exactly through
-        // hundreds of crowding replacements.
-        let series = noisy_sine(500, 25.0, 1.0, 0.1, 47);
-        let mut e = engine_on(series.values(), 0, 47);
-        assert_eq!(
-            e.training_coverage().to_bits(),
-            e.training_coverage_scan().to_bits(),
-            "coverage disagrees right after init"
-        );
-        for g in 0..600 {
-            e.step();
-            if g % 25 == 0 {
-                assert_eq!(
-                    e.training_coverage().to_bits(),
-                    e.training_coverage_scan().to_bits(),
-                    "coverage drifted at generation {g}"
-                );
-            }
-        }
-        assert_eq!(
-            e.training_coverage().to_bits(),
-            e.training_coverage_scan().to_bits()
-        );
-        assert!(
-            e.stats().replacements > 0,
-            "test never exercised the update"
-        );
-    }
-
-    #[test]
-    fn match_sets_stay_in_lockstep_with_population() {
-        let series = noisy_sine(400, 25.0, 1.0, 0.08, 53);
-        let mut e = engine_on(series.values(), 0, 53);
-        for _ in 0..300 {
-            e.step();
-        }
-        for k in 0..e.population().len() {
-            let ind = e.population().get(k);
-            let bits = e.match_set(k);
-            let expected =
-                parallel::match_bitset(&ind.rule.condition, &e.data, e.config().parallel_threshold);
-            assert_eq!(bits, &expected, "stale match set for individual {k}");
-            assert_eq!(bits.count_ones(), ind.rule.matched);
         }
     }
 

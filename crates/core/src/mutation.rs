@@ -16,22 +16,11 @@ use rand::Rng;
 /// `config.per_gene_probability`; a mutating bounded gene undergoes enlarge /
 /// shrink / shift-up / shift-down (equal odds) or becomes a wildcard; a
 /// mutating wildcard may materialize into a random interval.
-pub fn mutate<R: Rng>(
-    condition: &mut Condition,
-    config: &MutationConfig,
-    value_range: (f64, f64),
-    rng: &mut R,
-) {
-    let mut changed = Vec::new();
-    mutate_into(condition, config, value_range, rng, &mut changed);
-}
-
-/// [`mutate`], additionally recording into `changed` the positions whose
-/// gene was actually rewritten (a wildcard that stayed a wildcard is *not*
-/// recorded). The delta evaluation path recomputes exactly these genes'
-/// match bitsets and inherits every other gene's from the donor parent.
-/// Draws exactly the same RNG sequence as [`mutate`], so the two are
-/// interchangeable without perturbing a seeded run.
+///
+/// The positions whose gene was actually rewritten go into `changed`,
+/// ascending (a wildcard that stayed a wildcard is *not* recorded). The
+/// delta evaluation path recomputes exactly these genes' match bitsets and
+/// inherits every other gene's from the donor parent.
 pub fn mutate_into<R: Rng>(
     condition: &mut Condition,
     config: &MutationConfig,
@@ -133,11 +122,12 @@ mod tests {
             ..Default::default()
         };
         let before = c.clone();
-        mutate(
+        mutate_into(
             &mut c,
             &cfg,
             (0.0, 100.0),
             &mut ChaCha8Rng::seed_from_u64(1),
+            &mut Vec::new(),
         );
         assert_eq!(c, before);
     }
@@ -153,7 +143,7 @@ mod tests {
         };
         for _ in 0..500 {
             let mut c = base_condition();
-            mutate(&mut c, &cfg, (-50.0, 150.0), &mut rng);
+            mutate_into(&mut c, &cfg, (-50.0, 150.0), &mut rng, &mut Vec::new());
             assert!(c.genes().iter().all(|g| g.is_well_formed()));
             assert_eq!(c.len(), 3);
         }
@@ -165,7 +155,13 @@ mod tests {
         let mut changed = 0usize;
         for _ in 0..100 {
             let mut c = base_condition();
-            mutate(&mut c, &always_mutate(), (0.0, 100.0), &mut rng);
+            mutate_into(
+                &mut c,
+                &always_mutate(),
+                (0.0, 100.0),
+                &mut rng,
+                &mut Vec::new(),
+            );
             if c.genes()[0] != base_condition().genes()[0] {
                 changed += 1;
             }
@@ -181,7 +177,7 @@ mod tests {
         let cfg = always_mutate(); // step_fraction 0.1, range 100 -> max 10
         for _ in 0..500 {
             let mut c = Condition::new(vec![Gene::bounded(40.0, 60.0)]);
-            mutate(&mut c, &cfg, (0.0, 100.0), &mut rng);
+            mutate_into(&mut c, &cfg, (0.0, 100.0), &mut rng, &mut Vec::new());
             if let Gene::Bounded { lo, hi } = c.genes()[0] {
                 assert!(lo >= 40.0 - 10.0 - 1e-9, "lo {lo} moved too far");
                 assert!(hi <= 60.0 + 10.0 + 1e-9, "hi {hi} moved too far");
@@ -202,7 +198,7 @@ mod tests {
         };
         for _ in 0..1000 {
             let mut c = Condition::new(vec![Gene::bounded(49.9, 50.1)]);
-            mutate(&mut c, &cfg, (0.0, 100.0), &mut rng);
+            mutate_into(&mut c, &cfg, (0.0, 100.0), &mut rng, &mut Vec::new());
             if let Gene::Bounded { lo, hi } = c.genes()[0] {
                 assert!(lo <= hi, "interval inverted: [{lo}, {hi}]");
             }
@@ -219,40 +215,11 @@ mod tests {
             from_wildcard_probability: 1.0,
         };
         let mut c = base_condition();
-        mutate(&mut c, &cfg, (0.0, 100.0), &mut rng);
+        mutate_into(&mut c, &cfg, (0.0, 100.0), &mut rng, &mut Vec::new());
         // Bounded genes became wildcards; the wildcard became bounded.
         assert!(c.genes()[0].is_wildcard());
         assert!(!c.genes()[1].is_wildcard());
         assert!(c.genes()[2].is_wildcard());
-    }
-
-    #[test]
-    fn tracked_and_untracked_draw_the_same_rng_sequence() {
-        let cfg = MutationConfig {
-            per_gene_probability: 0.5,
-            step_fraction: 0.2,
-            to_wildcard_probability: 0.2,
-            from_wildcard_probability: 0.5,
-        };
-        for seed in 0..64u64 {
-            let mut plain = base_condition();
-            mutate(
-                &mut plain,
-                &cfg,
-                (0.0, 100.0),
-                &mut ChaCha8Rng::seed_from_u64(seed),
-            );
-            let mut tracked = base_condition();
-            let mut changed = Vec::new();
-            mutate_into(
-                &mut tracked,
-                &cfg,
-                (0.0, 100.0),
-                &mut ChaCha8Rng::seed_from_u64(seed),
-                &mut changed,
-            );
-            assert_eq!(plain, tracked, "seed {seed} diverged");
-        }
     }
 
     #[test]
@@ -312,11 +279,12 @@ mod tests {
                 per_gene_probability: 0.5,
                 ..Default::default()
             };
-            mutate(
+            mutate_into(
                 &mut c,
                 &cfg,
                 (0.0, 100.0),
                 &mut ChaCha8Rng::seed_from_u64(seed),
+                &mut Vec::new(),
             );
             c
         };
@@ -339,7 +307,7 @@ mod tests {
                 from_wildcard_probability: from_wc,
             };
             let mut c = base_condition();
-            mutate(&mut c, &cfg, (-10.0, 10.0), &mut ChaCha8Rng::seed_from_u64(seed));
+            mutate_into(&mut c, &cfg, (-10.0, 10.0), &mut ChaCha8Rng::seed_from_u64(seed), &mut Vec::new());
             prop_assert!(c.genes().iter().all(|g| g.is_well_formed()));
         }
     }

@@ -41,7 +41,9 @@
 //!    and merge paths are pinned by tests, not just exercised by luck.
 
 use crate::bitset::MatchBitset;
-use crate::checkpoint::{EnsembleCheckpoint, ExecutionOutcome, OutcomeStatus, CHECKPOINT_VERSION};
+use crate::checkpoint::{
+    CheckpointError, EnsembleCheckpoint, ExecutionOutcome, OutcomeStatus, CHECKPOINT_VERSION,
+};
 use crate::config::EnsembleConfig;
 use crate::dataset::ExampleSet;
 use crate::engine::Engine;
@@ -317,6 +319,14 @@ impl Supervisor {
             Some(path) if path.exists() => {
                 let cp = EnsembleCheckpoint::load(path)?;
                 cp.validate(fingerprint, n)?;
+                let d = data.feature_len();
+                if let Some(rule) = cp.rules.iter().find(|r| r.window_len() != d) {
+                    return Err(CheckpointError::Corrupt(format!(
+                        "checkpoint rule has window length {} but the run's is {d}",
+                        rule.window_len()
+                    ))
+                    .into());
+                }
                 covered_bits = cp.covered_bits()?;
                 folded_rules = cp.folded_rules;
                 executions_done = cp.executions_done;
@@ -591,7 +601,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::CheckpointError;
     use crate::config::EngineConfig;
     use evoforecast_tsdata::gen::waves::noisy_sine;
     use evoforecast_tsdata::window::WindowSpec;
@@ -931,6 +940,33 @@ mod tests {
                 "{err:?}"
             );
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn resume_rejects_rules_of_another_window_length() {
+        // The campaign's own checkpoint, fingerprint intact, with every rule
+        // cut to D − 1 genes: it used to resume and answer D-length windows
+        // from the short rules (a length assert in debug builds).
+        let series = noisy_sine(250, 20.0, 1.0, 0.05, 31);
+        let cfg = quick_config(series.values()).with_max_executions(2);
+        let path = temp_path("short_rules.json");
+        std::fs::remove_file(&path).ok();
+        let sup = Supervisor::new(cfg).unwrap();
+        sup.run_resumable(series.values(), &path).unwrap();
+        let mut cp = EnsembleCheckpoint::load(&path).unwrap();
+        assert!(!cp.rules.is_empty(), "test premise: rules to cut");
+        for rule in &mut cp.rules {
+            let genes = rule.condition.genes()[..2].to_vec();
+            rule.condition = crate::rule::Condition::new(genes);
+            rule.coefficients.truncate(2);
+        }
+        cp.save(&path).unwrap();
+        let err = sup.run_resumable(series.values(), &path).unwrap_err();
+        assert!(
+            matches!(err, EvoError::Checkpoint(CheckpointError::Corrupt(_))),
+            "{err:?}"
+        );
         std::fs::remove_file(&path).ok();
     }
 

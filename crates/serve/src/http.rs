@@ -65,12 +65,12 @@ impl From<io::Error> for HttpError {
     }
 }
 
-/// Read one request from the stream. `max_body` caps the accepted
-/// `Content-Length`.
+/// Read one request from the stream (a `TcpStream` in the server; any
+/// reader in tests). `max_body` caps the accepted `Content-Length`.
 ///
 /// # Errors
 /// [`HttpError`] as documented on the variants.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, HttpError> {
+pub fn read_request<S: Read>(stream: &mut S, max_body: usize) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
     let mut head_bytes = 0usize;
 
@@ -133,12 +133,16 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
 }
 
 /// Read one CRLF- (or LF-) terminated header line, enforcing the head cap.
-fn read_line(
-    reader: &mut BufReader<&mut TcpStream>,
-    head_bytes: &mut usize,
-) -> Result<String, HttpError> {
-    let mut line = String::new();
-    let n = reader.read_line(&mut line).map_err(HttpError::from)?;
+/// The read itself is bounded by what is left of the cap, so a client that
+/// streams bytes without a newline is refused as soon as it passes the cap
+/// instead of being buffered until the deadline.
+fn read_line(reader: &mut impl BufRead, head_bytes: &mut usize) -> Result<String, HttpError> {
+    let budget = MAX_HEAD_BYTES.saturating_sub(*head_bytes) as u64 + 1;
+    let mut line = Vec::new();
+    let n = reader
+        .take(budget)
+        .read_until(b'\n', &mut line)
+        .map_err(HttpError::from)?;
     if n == 0 {
         return Err(HttpError::Io(io::Error::new(
             io::ErrorKind::UnexpectedEof,
@@ -149,10 +153,10 @@ fn read_line(
     if *head_bytes > MAX_HEAD_BYTES {
         return Err(HttpError::BadRequest("request head too large".into()));
     }
-    while line.ends_with('\n') || line.ends_with('\r') {
+    while line.last().is_some_and(|&b| b == b'\n' || b == b'\r') {
         line.pop();
     }
-    Ok(line)
+    String::from_utf8(line).map_err(|_| HttpError::BadRequest("request head is not UTF-8".into()))
 }
 
 /// Standard reason phrase for the status codes this server emits.
@@ -271,5 +275,49 @@ mod tests {
         let raw = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n";
         let (parsed, _) = parse_via_socket(raw, 1024);
         assert!(matches!(parsed, Err(HttpError::BadRequest(_))));
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Frame `raw` from memory. Every outcome is a request within the
+        /// body cap or a typed error; the only I/O error an in-memory reader
+        /// can produce is running out of bytes.
+        fn frames_or_fails_typed(raw: &[u8], max_body: usize) -> Result<(), TestCaseError> {
+            match read_request(&mut &raw[..], max_body) {
+                Ok(req) => prop_assert!(req.body.len() <= max_body),
+                Err(HttpError::Io(e)) => {
+                    prop_assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof, "{:?}", raw)
+                }
+                Err(_) => {}
+            }
+            Ok(())
+        }
+
+        const VALID: &[u8] =
+            b"POST /forecast?x=1 HTTP/1.1\r\nHost: a\r\nContent-Length: 12\r\n\r\n{\"w\": [[1]]}";
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+            #[test]
+            fn random_and_truncated_bytes_never_panic(
+                noise in proptest::collection::vec(0u8..=255, 0..300),
+                cut in 0usize..80,
+                flips in proptest::collection::vec((0usize..80, 0u8..=255), 0..4),
+                max_body in 0usize..32,
+            ) {
+                frames_or_fails_typed(&noise, max_body)?;
+                frames_or_fails_typed(&VALID[..cut.min(VALID.len())], max_body)?;
+                let mut flipped = VALID.to_vec();
+                for &(at, byte) in &flips {
+                    flipped[at % VALID.len()] = byte;
+                }
+                frames_or_fails_typed(&flipped, max_body)?;
+                let mut prefixed = VALID[..cut.min(VALID.len())].to_vec();
+                prefixed.extend_from_slice(&noise);
+                frames_or_fails_typed(&prefixed, max_body)?;
+            }
+        }
     }
 }

@@ -549,7 +549,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_predictions_are_the_rule_means() {
+    fn batched_forecasts_are_the_rule_means() {
         // Rule 0 answers x0 + 1 on x0 ∈ [0, 10]; rule 1 answers 2·x1 on
         // x1 ∈ [0, 5].
         let windows = vec![

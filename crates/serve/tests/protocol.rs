@@ -193,6 +193,49 @@ fn half_sent_body_is_answered_not_hung() {
 }
 
 #[test]
+fn oversized_head_is_refused_at_the_cap_not_the_deadline() {
+    let server = start_server(
+        ServerConfig {
+            deadline: Duration::from_secs(5),
+            ..ServerConfig::default()
+        },
+        1.0,
+    );
+    // One byte past the 16 KiB head cap, no newline, connection left open.
+    // The server must answer 400 as soon as the cap is passed rather than
+    // buffer until the deadline. Exactly cap + 1 bytes, so the server has
+    // read everything sent when it closes and the close is a clean FIN.
+    let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    conn.write_all(&[b'a'; 16 * 1024 + 1]).unwrap();
+    let mut raw = String::new();
+    conn.read_to_string(&mut raw).unwrap();
+    let r = parse_reply(&raw);
+    assert_eq!(r.status, 400, "{raw}");
+    assert_eq!(r.error_kind(), ErrorKind::BadRequest);
+    assert!(r.body.contains("request head too large"), "{}", r.body);
+    server.shutdown();
+}
+
+#[test]
+fn non_utf8_request_head_is_a_typed_bad_request() {
+    let server = start_server(ServerConfig::default(), 1.0);
+    let addr = server.local_addr();
+    for raw in [
+        &b"GET /\xff\xfe HTTP/1.1\r\n\r\n"[..],
+        b"POST /forecast HTTP/1.1\r\nx-junk: \xc3\x28\r\ncontent-length: 0\r\n\r\n",
+    ] {
+        let r = raw_round_trip(addr, raw);
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert_eq!(r.error_kind(), ErrorKind::BadRequest);
+    }
+    let r = post(addr, "/forecast", r#"{"windows": [[1.0, 2.0]]}"#);
+    assert_eq!(r.status, 200, "{}", r.body);
+    server.shutdown();
+}
+
+#[test]
 fn nesting_bomb_is_a_typed_error_not_a_crash() {
     // 50 000 open brackets fit well under the 1 MiB body cap; a recursive
     // parser would overflow the worker's stack and abort the process.
