@@ -5,8 +5,8 @@
 //! and cumulative replacement rate sampled along one Venice run. The curve
 //! shows the two-phase dynamic — early generations convert unfit initial
 //! rules into viable specialists (coverage climbs), late generations polish
-//! fitness with a falling acceptance rate (the stagnation signal
-//! `StopConditions::with_stagnation_window` exploits).
+//! fitness with a falling acceptance rate (a stagnation signal: late
+//! generations rarely change the population).
 //!
 //! Run: `cargo bench -p evoforecast-bench --bench learning_curve`
 

@@ -3,7 +3,7 @@
 //! `EngineConfig::parallel_threshold`, across dataset sizes.
 //!
 //! The interesting result is the crossover: below a few thousand windows the
-//! rayon dispatch overhead loses to the sequential chunk loop (which is why
+//! cost of spawning workers loses to the sequential chunk loop (which is why
 //! `EngineConfig::parallel_threshold` defaults to 8192); above it, the
 //! per-chunk accumulation scales with cores.
 //!
@@ -50,7 +50,7 @@ fn bench_gram_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("sequential", n), &n, |b, _| {
             b.iter(|| black_box(accumulate_from_bitset(&bits, &ds, opts, usize::MAX)))
         });
-        group.bench_with_input(BenchmarkId::new("rayon", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("parallel", n), &n, |b, _| {
             b.iter(|| black_box(accumulate_from_bitset(&bits, &ds, opts, 1)))
         });
     }

@@ -230,7 +230,7 @@ impl EnsembleCheckpoint {
     /// # Errors
     /// [`CheckpointError::Io`] when the file cannot be read, `Corrupt` when
     /// it does not parse or its rules do not fit together (see
-    /// [`crate::RuleSetPredictor::load_json`]), `VersionMismatch` for
+    /// [`crate::RuleSetPredictor`]'s `Deserialize`), `VersionMismatch` for
     /// foreign layouts.
     pub fn load(path: impl AsRef<Path>) -> Result<EnsembleCheckpoint, CheckpointError> {
         let text = std::fs::read_to_string(path)?;

@@ -86,7 +86,7 @@ pub struct EngineConfig {
     /// Value range `(lo, hi)` of the training series; drives interval
     /// mutation steps and the initializer bins.
     pub value_range: (f64, f64),
-    /// Evaluate offspring in parallel with rayon when the training dataset
+    /// Evaluate offspring on worker threads when the training dataset
     /// has at least this many windows; `usize::MAX` disables parallelism.
     pub parallel_threshold: usize,
 }

@@ -15,7 +15,7 @@ use evoforecast_tsdata::window::WindowedDataset;
 
 /// A finite set of `(features, target)` regression examples.
 ///
-/// `Sync` is required so rule matching can fan out across rayon workers.
+/// `Sync` is required so rule matching can fan out across worker threads.
 pub trait ExampleSet: Sync {
     /// Number of examples.
     fn len(&self) -> usize;

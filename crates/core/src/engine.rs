@@ -42,74 +42,6 @@ pub struct EngineStats {
     pub evaluations: usize,
 }
 
-/// Early-stopping conditions for [`GenericEngine::run_until`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StopConditions {
-    /// Hard generation cap (always enforced).
-    pub max_generations: usize,
-    /// Stop once training coverage (viable rules) reaches this fraction;
-    /// checked every [`StopConditions::check_every`] generations. The check
-    /// itself is `O(1)` (incremental coverage counters), the cadence just
-    /// bounds how far past the target a run can drift.
-    pub target_coverage: Option<f64>,
-    /// Stop after this many consecutive generations without a replacement —
-    /// the steady-state loop has stagnated.
-    pub stagnation_window: Option<usize>,
-    /// Coverage-check cadence in generations.
-    pub check_every: usize,
-    /// Stop once this instant passes (checked after every generation). A
-    /// wall-clock guard for interactive runs; note that unlike the other
-    /// conditions it makes the stopping point machine-dependent, so
-    /// deterministic pipelines (the ensemble supervisor) budget in
-    /// *generations* instead and only consult the clock between executions.
-    pub deadline: Option<std::time::Instant>,
-}
-
-impl StopConditions {
-    /// Only the generation cap.
-    pub fn generations(max_generations: usize) -> StopConditions {
-        StopConditions {
-            max_generations,
-            target_coverage: None,
-            stagnation_window: None,
-            check_every: 500,
-            deadline: None,
-        }
-    }
-
-    /// Builder-style coverage target.
-    pub fn with_target_coverage(mut self, target: f64) -> Self {
-        self.target_coverage = Some(target);
-        self
-    }
-
-    /// Builder-style stagnation window.
-    pub fn with_stagnation_window(mut self, window: usize) -> Self {
-        self.stagnation_window = Some(window);
-        self
-    }
-
-    /// Builder-style wall-clock deadline, as a duration from now.
-    pub fn with_time_budget(mut self, budget: std::time::Duration) -> Self {
-        // audit: allow(determinism) — explicit opt-in stop condition; affects only when evolution stops, never what it computes
-        self.deadline = Some(std::time::Instant::now() + budget);
-        self
-    }
-}
-
-/// Why [`GenericEngine::run_until`] returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopReason {
-    /// The generation cap was reached.
-    MaxGenerations,
-    /// The training-coverage target was met.
-    CoverageReached,
-    /// No replacement for the configured window of generations.
-    Stagnated,
-    /// The wall-clock deadline passed.
-    DeadlineExpired,
-}
-
 /// One evolution run over an arbitrary example set. The paper's setting is
 /// the windowed time series ([`Engine`]); the generic form also learns rules
 /// on tabular regression data ([`crate::dataset::TabularExamples`]) — the
@@ -348,40 +280,10 @@ impl<E: ExampleSet> GenericEngine<E> {
     /// Run the configured number of generations and return the final rule
     /// set (a clone — the engine remains usable for further steps).
     pub fn run(&mut self) -> Vec<Rule> {
-        self.run_until(StopConditions::generations(self.config.generations))
-            .0
-    }
-
-    /// Run until an early-stop condition fires or the generation cap is
-    /// reached; returns the rule set and the reason. Unlike
-    /// [`GenericEngine::run`], this does not consult `config.generations`.
-    pub fn run_until(&mut self, stop: StopConditions) -> (Vec<Rule>, StopReason) {
-        let check_every = stop.check_every.max(1);
-        let mut since_replacement = 0usize;
-        for g in 0..stop.max_generations {
-            if self.step() {
-                since_replacement = 0;
-            } else {
-                since_replacement += 1;
-            }
-            if let Some(window) = stop.stagnation_window {
-                if since_replacement >= window {
-                    return (self.population.rules(), StopReason::Stagnated);
-                }
-            }
-            if let Some(target) = stop.target_coverage {
-                if (g + 1) % check_every == 0 && self.training_coverage() >= target {
-                    return (self.population.rules(), StopReason::CoverageReached);
-                }
-            }
-            if let Some(deadline) = stop.deadline {
-                // audit: allow(determinism) — deadline stop condition the caller opted into via with_time_budget
-                if std::time::Instant::now() >= deadline {
-                    return (self.population.rules(), StopReason::DeadlineExpired);
-                }
-            }
+        for _ in 0..self.config.generations {
+            self.step();
         }
-        (self.population.rules(), StopReason::MaxGenerations)
+        self.population.rules()
     }
 
     /// The current population.
@@ -638,61 +540,6 @@ mod tests {
             "coverage: {cov_before} -> {cov_after}"
         );
         assert!(e.stats().replacements > 0);
-    }
-
-    #[test]
-    fn run_until_respects_generation_cap() {
-        let series = noisy_sine(300, 25.0, 1.0, 0.05, 31);
-        let mut e = engine_on(series.values(), 0, 31);
-        let (rules, reason) = e.run_until(StopConditions::generations(50));
-        assert_eq!(reason, StopReason::MaxGenerations);
-        assert_eq!(e.stats().generations, 50);
-        assert_eq!(rules.len(), 30);
-    }
-
-    #[test]
-    fn run_until_stops_on_trivial_coverage_target() {
-        let series = noisy_sine(300, 25.0, 1.0, 0.05, 33);
-        let mut e = engine_on(series.values(), 0, 33);
-        let stop = StopConditions {
-            max_generations: 10_000,
-            target_coverage: Some(0.01),
-            stagnation_window: None,
-            check_every: 10,
-            deadline: None,
-        };
-        let (_, reason) = e.run_until(stop);
-        assert_eq!(reason, StopReason::CoverageReached);
-        assert!(e.stats().generations <= 10);
-    }
-
-    #[test]
-    fn run_until_respects_expired_deadline() {
-        let series = noisy_sine(300, 25.0, 1.0, 0.05, 37);
-        let mut e = engine_on(series.values(), 0, 37);
-        // A deadline already in the past: the run must stop after the very
-        // first generation with DeadlineExpired, not grind through the cap.
-        let stop = StopConditions::generations(1_000_000)
-            .with_time_budget(std::time::Duration::from_secs(0));
-        let (rules, reason) = e.run_until(stop);
-        assert_eq!(reason, StopReason::DeadlineExpired);
-        assert_eq!(e.stats().generations, 1);
-        assert_eq!(rules.len(), 30);
-    }
-
-    #[test]
-    fn run_until_detects_stagnation() {
-        // A pure sine with already-near-optimal init stagnates quickly (the
-        // ceiling case documented in evolution_improves_noisy_series).
-        let series = sine(300, 25.0, 1.0, 0.0, 0.0);
-        let mut e = engine_on(series.values(), 0, 35);
-        let stop = StopConditions::generations(50_000).with_stagnation_window(200);
-        let (_, reason) = e.run_until(stop);
-        assert_eq!(reason, StopReason::Stagnated);
-        assert!(
-            e.stats().generations < 50_000,
-            "stagnation should fire well before the cap"
-        );
     }
 
     mod properties {

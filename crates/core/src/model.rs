@@ -6,6 +6,7 @@
 use crate::error::EvoError;
 use crate::predict::RuleSetPredictor;
 use evoforecast_tsdata::window::{WindowSpec, WindowedDataset};
+use serde::de::Reader;
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 use std::path::Path;
@@ -26,7 +27,7 @@ pub struct ModelMetadata {
 }
 
 /// A trained forecasting system with its windowing contract.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TrainedModel {
     /// Window length, horizon and tap spacing the rules expect.
     pub spec: WindowSpec,
@@ -34,6 +35,37 @@ pub struct TrainedModel {
     pub predictor: RuleSetPredictor,
     /// Provenance.
     pub metadata: ModelMetadata,
+}
+
+/// The on-disk shape of a [`TrainedModel`].
+#[derive(Deserialize)]
+struct SerializedModel {
+    spec: WindowSpec,
+    predictor: RuleSetPredictor,
+    metadata: ModelMetadata,
+}
+
+/// Rejects rules whose window length differs from the spec's, so a
+/// mismatched artifact fails at load instead of at its first forecast.
+impl Deserialize for TrainedModel {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        let SerializedModel {
+            spec,
+            predictor,
+            metadata,
+        } = SerializedModel::deserialize(r)?;
+        // The predictor's own check already gave every rule one length.
+        if let Some(rule) = predictor.rules().first() {
+            if rule.window_len() != spec.window() {
+                return Err(serde::Error::custom(format!(
+                    "rules have window length {}, the spec has {}",
+                    rule.window_len(),
+                    spec.window()
+                )));
+            }
+        }
+        Ok(TrainedModel::new(spec, predictor, metadata))
+    }
 }
 
 impl TrainedModel {
@@ -99,7 +131,8 @@ impl TrainedModel {
     /// Load a model saved with [`TrainedModel::save_json`].
     ///
     /// # Errors
-    /// I/O errors, or `InvalidData` when the JSON does not parse.
+    /// I/O errors, or `InvalidData` when the JSON does not parse, its rules
+    /// do not fit together, or their window length differs from the spec's.
     pub fn load_json<R: Read>(mut reader: R) -> std::io::Result<TrainedModel> {
         let mut buf = String::new();
         reader.read_to_string(&mut buf)?;
@@ -204,5 +237,21 @@ mod tests {
 
         let err = TrainedModel::load_json("nope".as_bytes()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn load_rejects_rules_of_another_window_length() {
+        // Two-gene rules under a D = 3 spec.
+        let mut m = sample_model();
+        m.spec = WindowSpec::new(3, 1).unwrap();
+        let json = serde_json::to_string(&m).unwrap();
+        let err = TrainedModel::load_json(json.as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("window length 2"), "{err}");
+
+        // A model with no rules fits any spec.
+        m.predictor = RuleSetPredictor::new(Vec::new());
+        let json = serde_json::to_string(&m).unwrap();
+        assert_eq!(TrainedModel::load_json(json.as_bytes()).unwrap(), m);
     }
 }

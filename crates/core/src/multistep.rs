@@ -46,17 +46,19 @@ impl FreeRun {
 /// predictor would skip timesteps. (This is not checkable from the rule set
 /// itself, so it is the caller's contract.)
 ///
+/// A predictor with no rules abstains at the first step.
+///
 /// # Panics
-/// Panics when `seed_window` length differs from the rules' window length,
-/// or the predictor is empty.
+/// Panics when `seed_window` length differs from the rules' window length.
 pub fn free_run(predictor: &RuleSetPredictor, seed_window: &[f64], steps: usize) -> FreeRun {
-    assert!(!predictor.is_empty(), "free run needs a trained predictor");
-    let d = predictor.rules()[0].window_len();
-    assert_eq!(
-        seed_window.len(),
-        d,
-        "seed window must have the rules' window length"
-    );
+    let d = seed_window.len();
+    if let Some(rule) = predictor.rules().first() {
+        assert_eq!(
+            d,
+            rule.window_len(),
+            "seed window must have the rules' window length"
+        );
+    }
 
     let mut window = seed_window.to_vec();
     let mut predictions = Vec::with_capacity(steps);
@@ -158,9 +160,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "trained predictor")]
-    fn empty_predictor_panics() {
-        let p = RuleSetPredictor::new(vec![]);
-        free_run(&p, &[0.0; 4], 5);
+    fn a_predictor_without_rules_abstains_at_the_first_step() {
+        let run = free_run(&RuleSetPredictor::new(Vec::new()), &[0.5, 0.5, 0.5], 4);
+        assert!(run.is_empty());
+        assert!(run.stopped_by_abstention);
+        assert_eq!(run.requested, 4);
     }
 }

@@ -1,19 +1,96 @@
-//! The rayon-parallel refit: [`accumulate_from_bitset`] rebuilds an
-//! offspring's normal equations over the set bits of its (AND-derived) match
-//! set. It is the engine's per-generation Gram build, once per offspring.
+//! Core's worker threads, and the parallel refit that uses them.
 //!
-//! Below a size threshold it runs sequentially: rayon's task dispatch costs
-//! more than a few thousand windows of work. The sequential and parallel
-//! paths return *identical* results, because accumulation is chunked by
-//! [`GRAM_CHUNK`], never by thread, and the chunk accumulators merge in
-//! ascending chunk order. The literal training oracle in
-//! `tests/common/train.rs` pins both paths bit for bit.
+//! `map_ranges` is the one place `core` decides how to split independent
+//! work across threads: it maps `0..n` over contiguous index ranges on
+//! scoped threads and returns the results in index order, so parallel
+//! results are identical to sequential ones whatever the worker count. Its
+//! callers are the Gram build below, batched prediction
+//! ([`crate::predict::RuleSetPredictor::predict_dataset`]) and the
+//! supervisor's waves of executions.
+//!
+//! [`accumulate_from_bitset`] rebuilds an offspring's normal equations over
+//! the set bits of its (AND-derived) match set. It is the engine's
+//! per-generation Gram build, once per offspring. Below a size threshold it
+//! runs sequentially: spawning workers costs more than a few thousand
+//! windows of work. The sequential and parallel paths return *identical*
+//! results, because accumulation is chunked by [`GRAM_CHUNK`], never by
+//! thread, and the chunk accumulators merge in ascending chunk order. The
+//! literal training oracle in `tests/common/train.rs` pins both paths bit
+//! for bit.
 
 use crate::bitset::{ones_in_words, MatchBitset};
 use crate::dataset::ExampleSet;
 use crate::regress::GRAM_CHUNK;
 use evoforecast_linalg::regression::{NormalEqAccumulator, RegressionOptions, RowPack};
-use rayon::prelude::*;
+use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::sync::OnceLock;
+
+/// Most worker threads one [`map_ranges`] call uses.
+const MAX_WORKERS: usize = 64;
+
+/// The machine's parallelism, capped at [`MAX_WORKERS`]. Read once: the
+/// query reads cgroup files, which costs more than a small parallel Gram.
+fn available_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+            .min(MAX_WORKERS)
+    })
+}
+
+/// Map `f` over `0..n` in parallel and return the results in index order.
+///
+/// `0..n` is split into at most one contiguous range per available worker
+/// (never more ranges than items); `init` makes one state per range, which
+/// `f` borrows for every index of that range. The first range runs on the
+/// calling thread. A panic in any range reaches the caller with its
+/// original payload.
+pub(crate) fn map_ranges<S, T, I, F>(n: usize, init: I, f: F) -> Vec<T>
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
+    map_ranges_on(available_workers(), n, init, f)
+}
+
+/// [`map_ranges`] with an explicit worker count.
+fn map_ranges_on<S, T, I, F>(workers: usize, n: usize, init: I, f: F) -> Vec<T>
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
+    let run = |range: Range<usize>| -> Vec<T> {
+        let mut state = init();
+        range.map(|i| f(&mut state, i)).collect()
+    };
+    if n == 0 {
+        return Vec::new();
+    }
+    let len = n.div_ceil(workers.clamp(1, n));
+    if len == n {
+        return run(0..n);
+    }
+    let run = &run;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (len..n)
+            .step_by(len)
+            .map(|lo| scope.spawn(move || run(lo..(lo + len).min(n))))
+            .collect();
+        let mut out = run(0..len);
+        for handle in handles {
+            match handle.join() {
+                Ok(part) => out.extend(part),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        out
+    })
+}
 
 /// Accumulate the normal equations over the set bits of an already-known
 /// match set — the engine's refit, where the match set was produced by
@@ -60,10 +137,7 @@ pub fn accumulate_from_bitset<E: ExampleSet>(
         let mut pack = RowPack::new();
         (0..chunks).map(|c| chunk(&mut pack, c)).collect()
     } else {
-        (0..chunks)
-            .into_par_iter()
-            .map_init(RowPack::new, chunk)
-            .collect()
+        map_ranges(chunks, RowPack::new, chunk)
     };
     let mut acc = NormalEqAccumulator::new(d, opts.intercept);
     for part in parts.iter().filter(|part| part.count() > 0) {
@@ -87,10 +161,83 @@ mod tests {
             .collect()
     }
 
+    /// Worker counts the helper must agree across for `n` items.
+    fn worker_counts(n: usize) -> [usize; 5] {
+        [1, 2, 3, 8, n + 1]
+    }
+
+    #[test]
+    fn map_ranges_output_is_independent_of_worker_count() {
+        let square = |_: &mut (), i: usize| (i as u64) * (i as u64) + 1;
+        for n in [0, 1, 7, 1000] {
+            let expected: Vec<u64> = (0..n).map(|i| square(&mut (), i)).collect();
+            for workers in worker_counts(n) {
+                let got = map_ranges_on(workers, n, || (), square);
+                assert_eq!(got, expected, "n = {n}, workers = {workers}");
+            }
+            assert_eq!(map_ranges(n, || (), square), expected);
+        }
+    }
+
+    #[test]
+    fn map_ranges_runs_init_once_per_non_empty_range() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for n in [0, 1, 7, 1000] {
+            for workers in worker_counts(n) {
+                let inits = AtomicUsize::new(0);
+                let got = map_ranges_on(
+                    workers,
+                    n,
+                    || inits.fetch_add(1, Ordering::Relaxed),
+                    |state, i| (*state, i),
+                );
+                let inits = inits.into_inner();
+                // Each state serves one contiguous block of indices, and
+                // every state made serves at least one index.
+                let mut states: Vec<usize> = got.iter().map(|&(s, _)| s).collect();
+                states.dedup();
+                assert_eq!(states.len(), inits, "n = {n}, workers = {workers}");
+                assert!(inits <= workers.min(n), "n = {n}, workers = {workers}");
+                let mut sorted = states.clone();
+                sorted.sort_unstable();
+                sorted.dedup();
+                assert_eq!(sorted.len(), states.len(), "a state served two blocks");
+                assert!(got.iter().map(|&(_, i)| i).eq(0..n));
+            }
+        }
+    }
+
+    #[test]
+    fn map_ranges_re_raises_a_worker_panic_with_its_payload() {
+        // Index 999 lies in the last range, so a spawned worker panics
+        // (with one worker, the calling thread does).
+        for workers in [1, 3, 8] {
+            let caught = std::panic::catch_unwind(|| {
+                map_ranges_on(
+                    workers,
+                    1000,
+                    || (),
+                    |_, i| {
+                        if i == 999 {
+                            std::panic::panic_any(format!("worker failed at {i}"));
+                        }
+                        i
+                    },
+                )
+            });
+            let payload = caught.expect_err("the panic must reach the caller");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("worker failed at 999"),
+                "workers = {workers}"
+            );
+        }
+    }
+
     #[test]
     fn sequential_and_parallel_accumulation_are_bit_identical() {
         // Five chunks, one of them empty: the chunked merge must give the
-        // same sums whether the chunks run in order or under rayon.
+        // same sums whether the chunks run in order or on workers.
         let vals = big_series();
         let ds = dataset(&vals);
         let mut bits = MatchBitset::new(ds.len());

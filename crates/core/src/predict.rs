@@ -16,15 +16,13 @@
 use crate::bitset::MatchBitset;
 use crate::compiled::CompiledRuleSet;
 use crate::dataset::ExampleSet;
+use crate::parallel::map_ranges;
 use crate::rule::Rule;
 use serde::de::Reader;
 use serde::{Deserialize, Serialize, Value};
-use std::io::{Read, Write};
-use std::path::Path;
 use std::sync::OnceLock;
 
-/// Windows per parallel chunk in [`RuleSetPredictor::predict_dataset`]; each
-/// chunk reuses one scratch bitset across all of its windows.
+/// Windows per parallel chunk in [`RuleSetPredictor::predict_dataset`].
 const PREDICT_CHUNK: usize = 1024;
 
 /// Datasets with at least this many windows are predicted in parallel
@@ -205,27 +203,24 @@ impl RuleSetPredictor {
         compiled.predict_detailed_into(window, &mut compiled.scratch())
     }
 
-    /// Predict every example of a dataset, reusing one scratch bitset per
-    /// 1 024-window chunk (chunks run in parallel from 8 192 windows on).
-    /// Outputs are bit-identical to calling [`RuleSetPredictor::predict`]
-    /// per window.
+    /// Predict every example of a dataset in 1 024-window chunks, reusing
+    /// one scratch bitset per worker (chunks run in parallel from 8 192
+    /// windows on). Outputs are bit-identical to calling
+    /// [`RuleSetPredictor::predict`] per window.
     pub fn predict_dataset<E: ExampleSet>(&self, data: &E) -> Vec<Option<f64>> {
-        use rayon::prelude::*;
         let n = data.len();
         let compiled = self.compiled();
-        let chunk = |c: usize| -> Vec<Option<f64>> {
-            let mut scratch = compiled.scratch();
+        let chunk = |scratch: &mut MatchBitset, c: usize| -> Vec<Option<f64>> {
             (c * PREDICT_CHUNK..((c + 1) * PREDICT_CHUNK).min(n))
-                .map(|i| {
-                    compiled.predict_with_into(data.features(i), Combination::Mean, &mut scratch)
-                })
+                .map(|i| compiled.predict_with_into(data.features(i), Combination::Mean, scratch))
                 .collect()
         };
-        let chunks = 0..n.div_ceil(PREDICT_CHUNK);
+        let chunks = n.div_ceil(PREDICT_CHUNK);
         if n < PARALLEL_PREDICT_MIN {
-            chunks.flat_map(chunk).collect()
+            let mut scratch = compiled.scratch();
+            (0..chunks).flat_map(|c| chunk(&mut scratch, c)).collect()
         } else {
-            let parts: Vec<Vec<Option<f64>>> = chunks.into_par_iter().map(chunk).collect();
+            let parts = map_ranges(chunks, || compiled.scratch(), chunk);
             parts.into_iter().flatten().collect()
         }
     }
@@ -286,46 +281,6 @@ impl RuleSetPredictor {
                 .filter_map(|(r, k)| k.then_some(r))
                 .collect(),
         )
-    }
-
-    /// Serialize the trained system to pretty JSON on any writer.
-    ///
-    /// # Errors
-    /// I/O errors from the writer, or `InvalidData` when serialization
-    /// fails.
-    pub fn save_json<W: Write>(&self, mut writer: W) -> std::io::Result<()> {
-        let json = serde_json::to_string_pretty(self)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        writer.write_all(json.as_bytes())
-    }
-
-    /// Serialize the trained system to a file.
-    ///
-    /// # Errors
-    /// I/O errors from file creation/writing.
-    pub fn save_json_file(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        self.save_json(std::fs::File::create(path)?)
-    }
-
-    /// Load a system previously saved with [`RuleSetPredictor::save_json`].
-    ///
-    /// # Errors
-    /// I/O errors, or `InvalidData` when the JSON does not parse or its
-    /// rules do not fit together (a rule whose coefficient count differs
-    /// from its condition length, or mixed window lengths).
-    pub fn load_json<R: Read>(mut reader: R) -> std::io::Result<RuleSetPredictor> {
-        let mut buf = String::new();
-        reader.read_to_string(&mut buf)?;
-        serde_json::from_str(&buf)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-
-    /// Load from a file.
-    ///
-    /// # Errors
-    /// See [`RuleSetPredictor::load_json`].
-    pub fn load_json_file(path: impl AsRef<Path>) -> std::io::Result<RuleSetPredictor> {
-        Self::load_json(std::fs::File::open(path)?)
     }
 
     /// Fraction of a dataset's examples that receive a prediction.
@@ -574,29 +529,16 @@ mod tests {
     }
 
     #[test]
-    fn save_and_load_json_round_trip() {
+    fn json_round_trip() {
         let p = RuleSetPredictor::new(vec![rule(0.0, 10.0, 2.0, 1.0, 3, 0.1)]);
-        let mut buf = Vec::new();
-        p.save_json(&mut buf).unwrap();
-        let back = RuleSetPredictor::load_json(buf.as_slice()).unwrap();
-        assert_eq!(back.len(), 1);
-        assert!((back.predict(&[4.0]).unwrap() - p.predict(&[4.0]).unwrap()).abs() < 1e-9);
+        let json = serde_json::to_string_pretty(&p).unwrap();
+        let back: RuleSetPredictor = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, p);
+        assert_eq!(back.predict(&[4.0]), p.predict(&[4.0]));
     }
 
     #[test]
-    fn save_and_load_json_file() {
-        let dir = std::env::temp_dir().join("evoforecast_predict_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("predictor.json");
-        let p = RuleSetPredictor::new(vec![rule(0.0, 10.0, 2.0, 1.0, 3, 0.1)]);
-        p.save_json_file(&path).unwrap();
-        let back = RuleSetPredictor::load_json_file(&path).unwrap();
-        assert_eq!(back.len(), p.len());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn load_json_rejects_rules_that_do_not_fit_together() {
+    fn deserialize_rejects_rules_that_do_not_fit_together() {
         let mut short = rule(0.0, 10.0, 2.0, 1.0, 3, 0.1);
         short.condition = Condition::new(vec![Gene::bounded(0.0, 10.0), Gene::Wildcard]);
         let mut wide = rule(0.0, 10.0, 2.0, 1.0, 3, 0.1);
@@ -609,14 +551,13 @@ mod tests {
             vec![rule(0.0, 10.0, 2.0, 1.0, 3, 0.1), wide],
         ] {
             let json = serde_json::to_string(&RuleSetPredictor::with_all_rules(rules)).unwrap();
-            let err = RuleSetPredictor::load_json(json.as_bytes()).unwrap_err();
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            let err = serde_json::from_str::<RuleSetPredictor>(&json).unwrap_err();
+            assert!(err.to_string().contains("rule 1"), "{err}");
         }
     }
 
     #[test]
-    fn load_json_rejects_garbage() {
-        let err = RuleSetPredictor::load_json("not json".as_bytes()).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    fn deserialize_rejects_garbage() {
+        assert!(serde_json::from_str::<RuleSetPredictor>("not json").is_err());
     }
 }

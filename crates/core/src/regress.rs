@@ -16,7 +16,7 @@
 //! ([`fit_from_accumulator`]), and a second pass over only the `K` matched
 //! rows computes `e_R`. It runs once per offspring, every generation.
 //!
-//! To keep results bit-identical across the sequential and rayon-parallel
+//! To keep results bit-identical across the sequential and parallel
 //! paths, accumulation is chunked: windows are grouped into fixed
 //! [`GRAM_CHUNK`]-sized chunks, each chunk gets its own accumulator (rows
 //! pushed in ascending window order), and non-empty chunk accumulators

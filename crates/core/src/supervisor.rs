@@ -48,9 +48,9 @@ use crate::config::EnsembleConfig;
 use crate::dataset::ExampleSet;
 use crate::engine::Engine;
 use crate::error::{EvoError, FailureKind};
+use crate::parallel::map_ranges;
 use crate::predict::RuleSetPredictor;
 use crate::rule::Rule;
-use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -392,9 +392,11 @@ impl Supervisor {
             }
 
             let wave = WAVE_SIZE.min(self.config.max_executions - executions_done);
-            let slots: Vec<usize> = (executions_done..executions_done + wave).collect();
-            let results: Vec<(ExecutionOutcome, Result<Vec<Rule>, EvoError>)> =
-                slots.par_iter().map(|&s| self.run_slot(train, s)).collect();
+            let results: Vec<(ExecutionOutcome, Result<Vec<Rule>, EvoError>)> = map_ranges(
+                wave,
+                || (),
+                |_, k| self.run_slot(train, executions_done + k),
+            );
 
             // Merge in slot order — completion order never matters.
             for (mut outcome, result) in results {

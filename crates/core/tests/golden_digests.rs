@@ -10,7 +10,7 @@
 //! * `sequential_run_*` trains below `parallel_threshold`, so every Gram goes
 //!   through the sequential chunk loop.
 //! * `parallel_run_*` trains on more than 8 192 windows, so every Gram goes
-//!   through the rayon-parallel chunk path of `core::parallel`.
+//!   through the parallel chunk path of `core::parallel`.
 //! * `ensemble_run_*` drives [`Supervisor`] through two waves of
 //!   executions: seed schedule, viable-rule filter, slot-order merge and the
 //!   incremental coverage union. Its digest was computed with the former

@@ -1,7 +1,7 @@
 //! `Engine` against the literal §3.1–3.3 transcription in
 //! `common/train.rs`: after every generation, every rule, every fitness,
 //! every match set and the training coverage must agree bit for bit, at both
-//! the sequential and the rayon-parallel Gram thresholds.
+//! the sequential and the parallel Gram thresholds.
 
 #[path = "common/train.rs"]
 mod oracle;
