@@ -1,87 +1,51 @@
-//! Criterion micro-benchmarks of the linear-algebra kernels the engine
-//! leans on: the ridge-path Gram accumulation, QR least squares, LU solve,
-//! and the FFT used for spectral validation.
+//! Criterion micro-benchmarks of the linear-algebra kernels: the Cholesky
+//! solve of the ridge normal equations (the engine's per-rule solve) beside
+//! its pivoted-LU fallback, and the FFT used for spectral validation. The
+//! Gram accumulation that feeds the solve is timed by `micro_eval`.
 //!
 //! Run: `cargo bench -p evoforecast-bench --bench micro_linalg`
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use evoforecast_linalg::cholesky::CholeskyDecomposition;
 use evoforecast_linalg::fft::fft_real;
 use evoforecast_linalg::lu::LuDecomposition;
-use evoforecast_linalg::qr::QrDecomposition;
-use evoforecast_linalg::regression::{LinearRegression, RegressionOptions};
 use evoforecast_linalg::Matrix;
 use std::hint::black_box;
 
-/// A well-conditioned pseudo-random design matrix.
-fn design(rows: usize, cols: usize) -> Matrix {
-    let mut m = Matrix::from_fn(rows, cols, |i, j| {
+/// A symmetric positive-definite `n x n` system matrix, shaped like the
+/// ridge normal equations: `BᵀB` plus a dominant diagonal.
+fn spd_system(n: usize) -> Matrix {
+    let b = Matrix::from_fn(n, n, |i, j| {
         (i as f64 * (0.713 + 0.317 * j as f64)).sin() * 3.0
     });
-    for k in 0..cols.min(rows) {
-        m[(k, k)] += 2.0;
+    let mut a = b.transpose().matmul(&b).expect("square product");
+    for i in 0..n {
+        a[(i, i)] += n as f64;
     }
-    m
+    a
 }
 
 fn targets(rows: usize) -> Vec<f64> {
     (0..rows).map(|i| (i as f64 * 0.21).cos()).collect()
 }
 
-fn bench_regression(c: &mut Criterion) {
-    let mut group = c.benchmark_group("regression_fit");
-    // The engine's typical shapes: NR matched windows x D taps.
-    for &(n, d) in &[(500usize, 4usize), (2_000, 24), (10_000, 24)] {
-        let xs = design(n, d);
-        let ys = targets(n);
-        group.bench_with_input(
-            BenchmarkId::new("ridge_fast", format!("{n}x{d}")),
-            &(n, d),
-            |b, _| {
-                b.iter(|| {
-                    black_box(LinearRegression::fit_with(
-                        black_box(&xs),
-                        black_box(&ys),
-                        RegressionOptions::fast(),
-                    ))
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("qr", format!("{n}x{d}")),
-            &(n, d),
-            |b, _| {
-                b.iter(|| {
-                    black_box(LinearRegression::fit_with(
-                        black_box(&xs),
-                        black_box(&ys),
-                        RegressionOptions::default(),
-                    ))
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-fn bench_factorizations(c: &mut Criterion) {
+fn bench_solves(c: &mut Criterion) {
     let mut group = c.benchmark_group("factorizations");
-    for &n in &[8usize, 25, 64] {
-        let a = {
-            let mut m = design(n, n);
-            for i in 0..n {
-                m[(i, i)] += n as f64; // diagonally dominant
-            }
-            m
-        };
+    // 5 and 25 are the augmented orders of D = 4 and D = 24 rules.
+    for &n in &[5usize, 25, 64] {
+        let a = spd_system(n);
         let b = targets(n);
+        group.bench_with_input(BenchmarkId::new("cholesky_solve", n), &n, |bch, _| {
+            bch.iter(|| {
+                let ch = CholeskyDecomposition::new(black_box(&a)).unwrap();
+                black_box(ch.solve(black_box(&b)).unwrap())
+            })
+        });
         group.bench_with_input(BenchmarkId::new("lu_solve", n), &n, |bch, _| {
             bch.iter(|| {
                 let lu = LuDecomposition::new(black_box(&a)).unwrap();
                 black_box(lu.solve(black_box(&b)).unwrap())
             })
-        });
-        group.bench_with_input(BenchmarkId::new("qr_factorize", n), &n, |bch, _| {
-            bch.iter(|| black_box(QrDecomposition::new(black_box(&a)).unwrap()))
         });
     }
     group.finish();
@@ -101,6 +65,6 @@ fn bench_fft(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_regression, bench_factorizations, bench_fft
+    targets = bench_solves, bench_fft
 }
 criterion_main!(benches);

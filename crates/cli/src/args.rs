@@ -84,6 +84,19 @@ impl Args {
             .map_err(|_| CliError::Usage(format!("flag --{key} has unparsable value {raw:?}")))
     }
 
+    /// Refuse any flag outside `accepted`, naming the first one.
+    ///
+    /// # Errors
+    /// [`CliError::Usage`] for a flag `command` does not accept.
+    pub fn reject_unknown(&self, command: &str, accepted: &[&str]) -> Result<(), CliError> {
+        match self.flags.keys().find(|k| !accepted.contains(&k.as_str())) {
+            Some(key) => Err(CliError::Usage(format!(
+                "`{command}` does not accept flag --{key}; try `evoforecast help`"
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// Build from key/value pairs (used by tests).
     pub fn from_pairs(pairs: &[(&str, &str)]) -> Args {
         Args {

@@ -28,7 +28,7 @@ COMMANDS
            [--population <P>] [--generations <G>] [--executions <E>]
            [--emax-frac <f>] [--seed <u64>] --out <model.json>
            [--checkpoint <state.json>] [--time-budget <seconds>]
-           [--max-retries <n>] [--generation-budget <G'>]
+           [--max-retries <n>]
   resume   same flags as train, --checkpoint required; continues a
            checkpointed campaign (flags must match the original run)
   evaluate --model <model.json> --data <file.csv> [--from <index>]
@@ -41,6 +41,8 @@ COMMANDS
            [--workers <n>] [--queue <depth>] [--deadline-ms <ms>]
            [--max-batch <n>] [--max-body-bytes <n>]
   help
+
+Any other flag is a usage error.
 ";
 
 fn runtime<E: std::fmt::Display>(e: E) -> CliError {
@@ -151,14 +153,6 @@ fn train_impl(args: &Args, out: &mut dyn Write, resuming: bool) -> Result<(), Cl
         budget = budget.with_wall_clock(std::time::Duration::from_secs_f64(secs));
     }
     budget = budget.with_max_retries(args.parse_or("max-retries", budget.max_retries)?);
-    if let Some(raw) = args.get("generation-budget") {
-        let g: usize = raw.parse().map_err(|_| {
-            CliError::Usage(format!(
-                "flag --generation-budget has unparsable value {raw:?}"
-            ))
-        })?;
-        budget = budget.with_generations_per_execution(g);
-    }
 
     let series = ts_io::read_series_file(data_path).map_err(runtime)?;
     let spec = WindowSpec::with_spacing(window, horizon, spacing).map_err(runtime)?;

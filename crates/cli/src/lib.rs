@@ -25,27 +25,79 @@ pub mod experiment;
 
 pub use args::{Args, CliError};
 
+/// A subcommand's implementation.
+type Handler = fn(&args::Args, &mut dyn std::io::Write) -> Result<(), CliError>;
+
+/// `train` and `resume` take the same flags.
+const TRAIN_FLAGS: &[&str] = &[
+    "data",
+    "out",
+    "window",
+    "horizon",
+    "spacing",
+    "population",
+    "generations",
+    "executions",
+    "emax-frac",
+    "seed",
+    "checkpoint",
+    "time-budget",
+    "max-retries",
+];
+
+/// Every subcommand with the flags it accepts. A flag not listed for its
+/// command is refused before the command runs, so a misspelled flag never
+/// falls back to a default silently.
+const COMMANDS: &[(&str, &[&str], Handler)] = &[
+    (
+        "generate",
+        &["series", "n", "seed", "out"],
+        commands::generate,
+    ),
+    ("train", TRAIN_FLAGS, commands::train),
+    ("resume", TRAIN_FLAGS, commands::resume),
+    ("evaluate", &["model", "data", "from"], commands::evaluate),
+    ("predict", &["model", "data"], commands::predict),
+    ("freerun", &["model", "data", "steps"], commands::freerun),
+    ("experiment", &["config", "out"], commands::experiment),
+    ("spectrum", &["data", "top"], commands::spectrum),
+    ("analyze", &["model", "data", "bins"], commands::analyze),
+    (
+        "serve",
+        &[
+            "model",
+            "name",
+            "addr",
+            "workers",
+            "queue",
+            "deadline-ms",
+            "max-batch",
+            "max-body-bytes",
+        ],
+        commands::serve,
+    ),
+];
+
 /// Entry point shared by `main.rs` and tests: dispatch on the subcommand,
 /// writing human-readable output to `out`.
 ///
 /// # Errors
-/// [`CliError`] for usage problems, I/O failures, or training errors.
+/// [`CliError`] for usage problems (including a flag the command does not
+/// accept), I/O failures, or training errors.
 pub fn run(argv: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError> {
     let (command, args) = args::parse(argv)?;
-    match command.as_str() {
-        "generate" => commands::generate(&args, out),
-        "train" => commands::train(&args, out),
-        "resume" => commands::resume(&args, out),
-        "evaluate" => commands::evaluate(&args, out),
-        "predict" => commands::predict(&args, out),
-        "freerun" => commands::freerun(&args, out),
-        "experiment" => commands::experiment(&args, out),
-        "spectrum" => commands::spectrum(&args, out),
-        "analyze" => commands::analyze(&args, out),
-        "serve" => commands::serve(&args, out),
-        "help" | "--help" | "-h" => writeln!(out, "{}", commands::USAGE).map_err(CliError::from),
-        other => Err(CliError::Usage(format!(
-            "unknown command {other:?}; try `evoforecast help`"
-        ))),
+    if let "help" | "--help" | "-h" = command.as_str() {
+        args.reject_unknown(&command, &[])?;
+        return writeln!(out, "{}", commands::USAGE).map_err(CliError::from);
     }
+    let (_, accepted, handler) = COMMANDS
+        .iter()
+        .find(|(name, _, _)| *name == command)
+        .ok_or_else(|| {
+            CliError::Usage(format!(
+                "unknown command {command:?}; try `evoforecast help`"
+            ))
+        })?;
+    args.reject_unknown(&command, accepted)?;
+    handler(&args, out)
 }

@@ -254,6 +254,70 @@ fn unknown_command_is_usage_error() {
 }
 
 #[test]
+fn a_flag_the_command_does_not_accept_is_refused_before_it_runs() {
+    let dir = temp_dir("unknown_flag");
+    let data = dir.join("v.csv");
+    let model = dir.join("m.json");
+    let (data_s, model_s) = (data.to_str().unwrap(), model.to_str().unwrap());
+    std::fs::remove_file(&model).ok();
+    run_ok(&[
+        "generate",
+        "--series",
+        "noisy-sine",
+        "--n",
+        "300",
+        "--out",
+        data_s,
+    ]);
+
+    let train = |flag: &str| {
+        let mut out = Vec::new();
+        let argv = [
+            "train",
+            "--data",
+            data_s,
+            "--window",
+            "4",
+            "--horizon",
+            "1",
+            "--population",
+            "10",
+            flag,
+            "5",
+            "--executions",
+            "1",
+            "--out",
+            model_s,
+        ];
+        run(&sv(&argv), &mut out).unwrap_err()
+    };
+    // A misspelled --generations, and --generation-budget, which no command accepts.
+    for flag in ["--generatons", "--generation-budget"] {
+        match train(flag) {
+            CliError::Usage(msg) => assert!(msg.contains(flag), "{flag}: {msg}"),
+            other => panic!("{flag}: expected a usage error, got {other}"),
+        }
+    }
+    assert!(
+        !model.exists(),
+        "nothing may be trained on a refused command line"
+    );
+
+    let mut out = Vec::new();
+    let err = run(
+        &sv(&["spectrum", "--data", data_s, "--bins", "3"]),
+        &mut out,
+    )
+    .unwrap_err();
+    assert!(
+        matches!(err, CliError::Usage(ref msg) if msg.contains("--bins")),
+        "{err}"
+    );
+    assert!(out.is_empty());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn generate_rejects_unknown_series_and_zero_n() {
     let dir = temp_dir("gen_errors");
     let out_file = dir.join("x.csv");

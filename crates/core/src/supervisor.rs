@@ -25,12 +25,12 @@
 //!    rule sets merge in slot order, the final predictor is **bit-identical**
 //!    for a given fault pattern regardless of thread scheduling — and
 //!    identical to a fault-free run whenever no retry fires.
-//! 2. **Budgets with graceful degradation.** A wall-clock budget (checked at
-//!    wave boundaries, so determinism is preserved: the clock can only decide
-//!    *how many* full waves run, never their contents) and a per-execution
-//!    generation budget. On exhaustion the supervisor stops launching waves,
-//!    merges what completed, and reports a [`DegradationReason`] instead of
-//!    hanging or discarding work.
+//! 2. **Budgets with graceful degradation.** A wall-clock budget and a
+//!    session-execution budget, both checked at wave boundaries, so
+//!    determinism is preserved: they can only decide *how many* full waves
+//!    run, never their contents. On exhaustion the supervisor stops
+//!    launching waves, merges what completed, and reports a
+//!    [`DegradationReason`] instead of hanging or discarding work.
 //! 3. **Checkpoint/resume.** With [`Supervisor::run_resumable`] the merged
 //!    state is written to a versioned
 //!    [`crate::checkpoint::EnsembleCheckpoint`] after every wave; a later
@@ -66,9 +66,6 @@ pub struct RunBudget {
     /// Checked only at wave boundaries so the merged result stays a pure
     /// function of which waves ran, never of intra-wave timing.
     pub wall_clock: Option<Duration>,
-    /// Clamp every execution's generation count to this value (a
-    /// deterministic per-execution budget, unlike wall-clock).
-    pub generations_per_execution: Option<usize>,
     /// Retries granted per execution after its first attempt fails.
     pub max_retries: u32,
     /// Stop after this many *new* executions in this call (checkpointed
@@ -82,7 +79,6 @@ impl Default for RunBudget {
     fn default() -> Self {
         RunBudget {
             wall_clock: None,
-            generations_per_execution: None,
             max_retries: 2,
             max_new_executions: None,
         }
@@ -93,12 +89,6 @@ impl RunBudget {
     /// Builder-style wall-clock budget.
     pub fn with_wall_clock(mut self, budget: Duration) -> Self {
         self.wall_clock = Some(budget);
-        self
-    }
-
-    /// Builder-style per-execution generation budget.
-    pub fn with_generations_per_execution(mut self, generations: usize) -> Self {
-        self.generations_per_execution = Some(generations);
         self
     }
 
@@ -531,8 +521,7 @@ impl Supervisor {
         }
     }
 
-    /// One isolated attempt: panic-caught engine construction + run, with
-    /// the generation budget applied.
+    /// One isolated attempt: panic-caught engine construction + run.
     #[cfg_attr(not(feature = "fault-injection"), allow(unused_variables))]
     fn attempt(
         &self,
@@ -547,10 +536,7 @@ impl Supervisor {
                 // audit: allow(panic-freedom) — the whole point: a deliberate kill for supervisor tests, feature-gated
                 panic!("fault injection: killed execution {slot} attempt {attempt}");
             }
-            let mut cfg = self.config.engine.clone().with_seed(seed);
-            if let Some(cap) = self.budget.generations_per_execution {
-                cfg.generations = cfg.generations.min(cap);
-            }
+            let cfg = self.config.engine.clone().with_seed(seed);
             let mut engine = Engine::new(cfg, train)?;
             Ok(engine.run())
         }));
@@ -781,25 +767,6 @@ mod tests {
                 Some(DegradationReason::SessionBudgetExhausted { executions }) if executions == WAVE_SIZE
             ));
         }
-    }
-
-    #[test]
-    fn generation_budget_clamps_each_execution() {
-        let series = noisy_sine(250, 20.0, 1.0, 0.05, 24);
-        let cfg = quick_config(series.values());
-        // Reference: the same campaign with generations = 30 configured
-        // directly. The budgeted run must reproduce it exactly.
-        let mut short_cfg = cfg.clone();
-        short_cfg.engine.generations = 30;
-        let (ref_pred, _) = Supervisor::new(short_cfg)
-            .unwrap()
-            .run(series.values())
-            .unwrap();
-        let sup = Supervisor::new(cfg)
-            .unwrap()
-            .with_budget(RunBudget::default().with_generations_per_execution(30));
-        let (pred, _) = sup.run(series.values()).unwrap();
-        assert_eq!(pred.rules(), ref_pred.rules());
     }
 
     #[test]

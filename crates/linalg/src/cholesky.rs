@@ -130,24 +130,6 @@ impl CholeskyDecomposition {
         }
         Ok(x)
     }
-
-    /// Determinant of the original matrix: `Π l_ii²` (always positive).
-    pub fn determinant(&self) -> f64 {
-        let mut det = 1.0;
-        for i in 0..self.order() {
-            let v = self.l[(i, i)];
-            det *= v * v;
-        }
-        det
-    }
-}
-
-/// Convenience: solve the SPD system `A x = b` in one call.
-///
-/// # Errors
-/// See [`CholeskyDecomposition::new`] and [`CholeskyDecomposition::solve`].
-pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    CholeskyDecomposition::new(a)?.solve(b)
 }
 
 #[cfg(test)]
@@ -172,14 +154,20 @@ mod tests {
     fn solve_identity() {
         let i = Matrix::identity(3);
         let b = [1.0, 2.0, 3.0];
-        assert_eq!(solve_spd(&i, &b).unwrap(), b.to_vec());
+        assert_eq!(
+            CholeskyDecomposition::new(&i).unwrap().solve(&b).unwrap(),
+            b.to_vec()
+        );
     }
 
     #[test]
     fn solve_known_spd_system() {
         // A = [[4, 2], [2, 3]] (SPD), b = [10, 9] => x = [1.5, 2].
         let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
-        let x = solve_spd(&a, &[10.0, 9.0]).unwrap();
+        let x = CholeskyDecomposition::new(&a)
+            .unwrap()
+            .solve(&[10.0, 9.0])
+            .unwrap();
         assert!((x[0] - 1.5).abs() < 1e-12);
         assert!((x[1] - 2.0).abs() < 1e-12);
     }
@@ -190,8 +178,14 @@ mod tests {
         let full = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
         let mut lower_only = full.clone();
         lower_only[(0, 1)] = f64::MAX;
-        let xa = solve_spd(&full, &[10.0, 9.0]).unwrap();
-        let xb = solve_spd(&lower_only, &[10.0, 9.0]).unwrap();
+        let xa = CholeskyDecomposition::new(&full)
+            .unwrap()
+            .solve(&[10.0, 9.0])
+            .unwrap();
+        let xb = CholeskyDecomposition::new(&lower_only)
+            .unwrap()
+            .solve(&[10.0, 9.0])
+            .unwrap();
         assert_eq!(xa, xb);
     }
 
@@ -242,21 +236,13 @@ mod tests {
         assert!(ch.solve(&[1.0, 2.0]).is_err());
     }
 
-    #[test]
-    fn determinant_matches_lu() {
-        let a = spd_matrix(4, 11);
-        let det_ch = CholeskyDecomposition::new(&a).unwrap().determinant();
-        let det_lu = lu::LuDecomposition::new(&a).unwrap().determinant();
-        assert!((det_ch - det_lu).abs() < 1e-9 * det_lu.abs().max(1.0));
-    }
-
     proptest! {
         #[test]
         fn agrees_with_lu_on_spd_systems(n in 1usize..8, seed in 0u64..500) {
             let a = spd_matrix(n, seed);
             let b: Vec<f64> = (0..n).map(|i| ((i as f64) + 0.5).cos()).collect();
-            let x_ch = solve_spd(&a, &b).unwrap();
-            let x_lu = lu::solve(&a, &b).unwrap();
+            let x_ch = CholeskyDecomposition::new(&a).unwrap().solve(&b).unwrap();
+            let x_lu = lu::LuDecomposition::new(&a).unwrap().solve(&b).unwrap();
             for (got, want) in x_ch.iter().zip(x_lu.iter()) {
                 prop_assert!((got - want).abs() < 1e-8);
             }
@@ -266,7 +252,7 @@ mod tests {
         fn residual_small(n in 1usize..8, seed in 0u64..500) {
             let a = spd_matrix(n, seed);
             let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.7).sin()).collect();
-            let x = solve_spd(&a, &b).unwrap();
+            let x = CholeskyDecomposition::new(&a).unwrap().solve(&b).unwrap();
             let ax = a.matvec(&x).unwrap();
             for (got, want) in ax.iter().zip(b.iter()) {
                 prop_assert!((got - want).abs() < 1e-8);

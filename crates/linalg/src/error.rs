@@ -16,14 +16,6 @@ pub enum LinalgError {
     },
     /// The matrix is singular (or numerically so) and cannot be solved.
     Singular,
-    /// A least-squares problem has fewer rows than columns and is
-    /// underdetermined without regularization.
-    Underdetermined {
-        /// Number of observations (rows).
-        rows: usize,
-        /// Number of unknowns (columns).
-        cols: usize,
-    },
     /// Input contained NaN or infinite values.
     NonFinite,
     /// The operation requires a non-empty input.
@@ -39,10 +31,6 @@ impl fmt::Display for LinalgError {
                 left.0, left.1, right.0, right.1
             ),
             LinalgError::Singular => write!(f, "matrix is singular to working precision"),
-            LinalgError::Underdetermined { rows, cols } => write!(
-                f,
-                "least squares underdetermined: {rows} rows < {cols} columns"
-            ),
             LinalgError::NonFinite => write!(f, "input contains NaN or infinite values"),
             LinalgError::Empty => write!(f, "operation requires non-empty input"),
         }
@@ -73,8 +61,6 @@ mod tests {
         assert!(LinalgError::Singular.to_string().contains("singular"));
         assert!(LinalgError::NonFinite.to_string().contains("NaN"));
         assert!(LinalgError::Empty.to_string().contains("non-empty"));
-        let u = LinalgError::Underdetermined { rows: 2, cols: 5 };
-        assert!(u.to_string().contains("2 rows < 5 columns"));
     }
 
     #[test]

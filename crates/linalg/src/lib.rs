@@ -5,25 +5,25 @@
 //! windows matched by the rule's conditional part. This crate provides that
 //! substrate from scratch — no external linear-algebra dependency:
 //!
-//! * [`Matrix`] — a row-major dense matrix with the usual algebra,
-//! * [`lu`] — LU factorization with partial pivoting (solve / det / inverse),
-//! * [`qr`] — Householder QR (numerically robust least squares),
-//! * [`cholesky`] — LLᵀ factorization for the SPD normal-equation systems
-//!   produced by the fused evaluation kernel,
-//! * [`regression`] — OLS and ridge regression built on the factorizations,
-//!   plus the streaming [`regression::NormalEqAccumulator`],
+//! * [`Matrix`] — a row-major dense matrix,
+//! * [`regression`] — the one least-squares solver: the streaming
+//!   [`regression::NormalEqAccumulator`] builds the ridge normal equations
+//!   and solves them by [`cholesky`], falling back to pivoted [`lu`],
 //! * [`stats`] — summary statistics used by generators, initializers and
-//!   metrics (mean, variance, quantiles, autocorrelation, histograms).
+//!   metrics (mean, variance, quantiles, autocorrelation, histograms),
+//! * [`fft`] — the real FFT behind the spectral validation of the series.
 //!
 //! # Example
 //!
 //! ```
-//! use evoforecast_linalg::{Matrix, regression::LinearRegression};
+//! use evoforecast_linalg::regression::{NormalEqAccumulator, RowPack};
 //!
 //! // Fit y = 2*x0 + 1 exactly.
-//! let xs = Matrix::from_rows(&[&[0.0], &[1.0], &[2.0], &[3.0]]);
+//! let xs: [&[f64]; 4] = [&[0.0], &[1.0], &[2.0], &[3.0]];
 //! let ys = [1.0, 3.0, 5.0, 7.0];
-//! let fit = LinearRegression::fit(&xs, &ys).unwrap();
+//! let mut acc = NormalEqAccumulator::new(1, true);
+//! acc.push_rows(&mut RowPack::new(), xs.into_iter().zip(ys));
+//! let fit = acc.solve(1e-12).unwrap();
 //! assert!((fit.coefficients()[0] - 2.0).abs() < 1e-9);
 //! assert!((fit.intercept() - 1.0).abs() < 1e-9);
 //! ```
@@ -40,7 +40,6 @@ pub mod error;
 pub mod fft;
 pub mod lu;
 pub mod matrix;
-pub mod qr;
 pub mod regression;
 pub mod stats;
 pub mod vector;

@@ -1,9 +1,11 @@
 //! LU factorization with partial pivoting.
 //!
-//! Used to solve the (small, square, symmetric-positive-definite-ish)
-//! normal-equation systems produced when a rule's prediction hyperplane is
-//! fitted, and as a general square solver for the neural baselines' linear
-//! output layers.
+//! The fallback of [`NormalEqAccumulator::solve`]: when extreme scaling
+//! pushes the ridge-stabilized normal equations below Cholesky's
+//! positive-definiteness tolerance, the system is solved again with row
+//! pivoting.
+//!
+//! [`NormalEqAccumulator::solve`]: crate::regression::NormalEqAccumulator::solve
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
@@ -16,8 +18,6 @@ pub struct LuDecomposition {
     lu: Matrix,
     /// Row permutation: `perm[i]` is the original row now in position `i`.
     perm: Vec<usize>,
-    /// Sign of the permutation (+1.0 or -1.0), used for the determinant.
-    perm_sign: f64,
 }
 
 /// Relative singularity threshold: a pivot smaller than
@@ -53,7 +53,6 @@ impl LuDecomposition {
 
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
 
         for k in 0..n {
             // Find pivot row: the largest |entry| in column k at or below k.
@@ -77,7 +76,6 @@ impl LuDecomposition {
                     lu[(pivot_row, j)] = tmp;
                 }
                 perm.swap(k, pivot_row);
-                perm_sign = -perm_sign;
             }
 
             let pivot = lu[(k, k)];
@@ -93,11 +91,7 @@ impl LuDecomposition {
             }
         }
 
-        Ok(LuDecomposition {
-            lu,
-            perm,
-            perm_sign,
-        })
+        Ok(LuDecomposition { lu, perm })
     }
 
     /// Order of the factorized matrix.
@@ -141,56 +135,6 @@ impl LuDecomposition {
         }
         Ok(x)
     }
-
-    /// Solve for multiple right-hand sides stacked as columns of `b`.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::ShapeMismatch`] when `b.rows() != order`.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix, LinalgError> {
-        let n = self.order();
-        if b.rows() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "lu_solve_matrix",
-                left: (n, n),
-                right: b.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(n, b.cols());
-        for j in 0..b.cols() {
-            let col = b.col(j);
-            let x = self.solve(&col)?;
-            for (i, &v) in x.iter().enumerate() {
-                out[(i, j)] = v;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Determinant of the original matrix.
-    pub fn determinant(&self) -> f64 {
-        let mut det = self.perm_sign;
-        for i in 0..self.order() {
-            det *= self.lu[(i, i)];
-        }
-        det
-    }
-
-    /// Inverse of the original matrix.
-    ///
-    /// # Errors
-    /// Propagates solver errors (cannot occur for a successfully factorized
-    /// matrix, but kept in the signature for API consistency).
-    pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        self.solve_matrix(&Matrix::identity(self.order()))
-    }
-}
-
-/// Convenience: solve `A x = b` in one call.
-///
-/// # Errors
-/// See [`LuDecomposition::new`] and [`LuDecomposition::solve`].
-pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    LuDecomposition::new(a)?.solve(b)
 }
 
 #[cfg(test)]
@@ -202,14 +146,20 @@ mod tests {
     fn solve_identity() {
         let i = Matrix::identity(3);
         let b = [1.0, 2.0, 3.0];
-        assert_eq!(solve(&i, &b).unwrap(), b.to_vec());
+        assert_eq!(
+            LuDecomposition::new(&i).unwrap().solve(&b).unwrap(),
+            b.to_vec()
+        );
     }
 
     #[test]
     fn solve_known_system() {
         // 2x + y = 5 ; x + 3y = 10  => x = 1, y = 3
         let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
-        let x = solve(&a, &[5.0, 10.0]).unwrap();
+        let x = LuDecomposition::new(&a)
+            .unwrap()
+            .solve(&[5.0, 10.0])
+            .unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
     }
@@ -217,7 +167,10 @@ mod tests {
     #[test]
     fn pivoting_handles_zero_leading_entry() {
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let x = solve(&a, &[2.0, 3.0]).unwrap();
+        let x = LuDecomposition::new(&a)
+            .unwrap()
+            .solve(&[2.0, 3.0])
+            .unwrap();
         assert!((x[0] - 3.0).abs() < 1e-12);
         assert!((x[1] - 2.0).abs() < 1e-12);
     }
@@ -261,40 +214,6 @@ mod tests {
         assert!(lu.solve(&[1.0, 2.0]).is_err());
     }
 
-    #[test]
-    fn determinant_known() {
-        let a = Matrix::from_rows(&[&[3.0, 8.0], &[4.0, 6.0]]);
-        let lu = LuDecomposition::new(&a).unwrap();
-        assert!((lu.determinant() - (-14.0)).abs() < 1e-10);
-    }
-
-    #[test]
-    fn determinant_identity_is_one() {
-        let lu = LuDecomposition::new(&Matrix::identity(5)).unwrap();
-        assert!((lu.determinant() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inverse_times_original_is_identity() {
-        let a = Matrix::from_rows(&[&[4.0, 7.0, 1.0], &[2.0, 6.0, 0.5], &[1.0, 1.0, 3.0]]);
-        let inv = LuDecomposition::new(&a).unwrap().inverse().unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        assert!(prod.approx_eq(&Matrix::identity(3), 1e-9));
-    }
-
-    #[test]
-    fn solve_matrix_multiple_rhs() {
-        let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[2.0, 4.0], &[4.0, 8.0]]);
-        let x = LuDecomposition::new(&a).unwrap().solve_matrix(&b).unwrap();
-        assert!(x.approx_eq(&Matrix::from_rows(&[&[1.0, 2.0], &[1.0, 2.0]]), 1e-12));
-        let bad = Matrix::zeros(3, 1);
-        assert!(LuDecomposition::new(&a)
-            .unwrap()
-            .solve_matrix(&bad)
-            .is_err());
-    }
-
     /// Build a well-conditioned pseudo-random matrix: diagonally dominant.
     fn dd_matrix(n: usize, seed: u64) -> Matrix {
         let mut m = Matrix::from_fn(n, n, |i, j| {
@@ -312,24 +231,11 @@ mod tests {
         fn residual_small_for_diag_dominant(n in 1usize..8, seed in 0u64..500) {
             let a = dd_matrix(n, seed);
             let b: Vec<f64> = (0..n).map(|i| ((i as f64) + 0.5).cos()).collect();
-            let x = solve(&a, &b).unwrap();
+            let x = LuDecomposition::new(&a).unwrap().solve(&b).unwrap();
             let ax = a.matvec(&x).unwrap();
             for (got, want) in ax.iter().zip(b.iter()) {
                 prop_assert!((got - want).abs() < 1e-8);
             }
-        }
-
-        #[test]
-        fn det_of_product_is_product_of_dets(n in 1usize..6, seed in 0u64..200) {
-            let a = dd_matrix(n, seed);
-            let b = dd_matrix(n, seed.wrapping_add(7));
-            let da = LuDecomposition::new(&a).unwrap().determinant();
-            let db = LuDecomposition::new(&b).unwrap().determinant();
-            let dab = LuDecomposition::new(&a.matmul(&b).unwrap())
-                .unwrap()
-                .determinant();
-            let scale = da.abs() * db.abs() + 1.0;
-            prop_assert!((dab - da * db).abs() < 1e-6 * scale);
         }
     }
 }

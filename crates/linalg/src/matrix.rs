@@ -149,15 +149,6 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Copy column `j` into a new vector.
-    ///
-    /// # Panics
-    /// Panics when `j >= cols`.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        assert!(j < self.cols, "col index {j} out of bounds ({})", self.cols);
-        (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
     /// Element access with bounds checking that returns `None` out of range.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> Option<f64> {
@@ -225,120 +216,9 @@ impl Matrix {
             .collect())
     }
 
-    /// Element-wise sum.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::ShapeMismatch`] on differing shapes.
-    pub fn add(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.shape() != rhs.shape() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "add",
-                left: self.shape(),
-                right: rhs.shape(),
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(rhs.data.iter())
-            .map(|(&a, &b)| a + b)
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Element-wise difference.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::ShapeMismatch`] on differing shapes.
-    pub fn sub(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.shape() != rhs.shape() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "sub",
-                left: self.shape(),
-                right: rhs.shape(),
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(rhs.data.iter())
-            .map(|(&a, &b)| a - b)
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Scaled copy `alpha * self`.
-    pub fn scaled(&self, alpha: f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| alpha * x).collect(),
-        }
-    }
-
-    /// Gram matrix `selfᵀ * self` (symmetric, `cols x cols`), computed
-    /// directly without materializing the transpose. This is the hot kernel
-    /// of the normal-equations regression path.
-    pub fn gram(&self) -> Matrix {
-        let n = self.cols;
-        let mut g = Matrix::zeros(n, n);
-        for i in 0..self.rows {
-            let row = self.row(i);
-            for a in 0..n {
-                let ra = row[a];
-                if ra == 0.0 {
-                    continue;
-                }
-                let grow = g.row_mut(a);
-                // Only the upper triangle; mirrored below.
-                for b in a..n {
-                    grow[b] += ra * row[b];
-                }
-            }
-        }
-        for a in 0..n {
-            for b in 0..a {
-                g[(a, b)] = g[(b, a)];
-            }
-        }
-        g
-    }
-
-    /// `selfᵀ * v` computed without materializing the transpose.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::ShapeMismatch`] when `v.len() != rows`.
-    pub fn t_matvec(&self, v: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        if v.len() != self.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "t_matvec",
-                left: (self.cols, self.rows),
-                right: (v.len(), 1),
-            });
-        }
-        let mut out = vec![0.0; self.cols];
-        for i in 0..self.rows {
-            vector::axpy(v[i], self.row(i), &mut out);
-        }
-        Ok(out)
-    }
-
     /// Maximum absolute element; `0.0` for an empty matrix.
     pub fn norm_max(&self) -> f64 {
         vector::norm_inf(&self.data)
-    }
-
-    /// Frobenius norm.
-    pub fn norm_frobenius(&self) -> f64 {
-        vector::norm2(&self.data)
     }
 
     /// True when all entries are finite.
@@ -445,7 +325,6 @@ mod tests {
     fn row_col_access() {
         let m = small_matrix();
         assert_eq!(m.row(1), &[3.0, 4.0]);
-        assert_eq!(m.col(0), vec![1.0, 3.0]);
         assert_eq!(m.get(1, 1), Some(4.0));
         assert_eq!(m.get(2, 0), None);
         assert_eq!(m.get(0, 2), None);
@@ -493,39 +372,8 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_scaled() {
-        let m = small_matrix();
-        let s = m.add(&m).unwrap();
-        assert!(s.approx_eq(&m.scaled(2.0), 1e-12));
-        let d = s.sub(&m).unwrap();
-        assert!(d.approx_eq(&m, 1e-12));
-        assert!(m.add(&Matrix::zeros(1, 2)).is_err());
-        assert!(m.sub(&Matrix::zeros(2, 1)).is_err());
-    }
-
-    #[test]
-    fn gram_matches_explicit_transpose_product() {
-        let m = Matrix::from_fn(4, 3, |i, j| ((i + 1) * (j + 2)) as f64 * 0.5);
-        let explicit = m.transpose().matmul(&m).unwrap();
-        assert!(m.gram().approx_eq(&explicit, 1e-9));
-    }
-
-    #[test]
-    fn t_matvec_matches_transpose() {
-        let m = Matrix::from_fn(4, 3, |i, j| (i as f64 - j as f64) * 1.5);
-        let v = [1.0, -2.0, 0.5, 3.0];
-        let direct = m.t_matvec(&v).unwrap();
-        let explicit = m.transpose().matvec(&v).unwrap();
-        for (a, b) in direct.iter().zip(explicit.iter()) {
-            assert!((a - b).abs() < 1e-12);
-        }
-        assert!(m.t_matvec(&[1.0]).is_err());
-    }
-
-    #[test]
     fn norms_and_finiteness() {
         let m = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, -4.0]]);
-        assert!((m.norm_frobenius() - 5.0).abs() < 1e-12);
         assert!((m.norm_max() - 4.0).abs() < 1e-12);
         assert!(m.all_finite());
         let mut bad = m.clone();
@@ -562,19 +410,6 @@ mod tests {
             let left = a.matmul(&b).unwrap().matmul(&c).unwrap();
             let right = a.matmul(&b.matmul(&c).unwrap()).unwrap();
             prop_assert!(left.approx_eq(&right, 1e-9));
-        }
-
-        #[test]
-        fn matmul_distributes_over_add(
-            n in 1usize..5, seed in 0u64..999
-        ) {
-            let gen = |off: u64| Matrix::from_fn(n, n, move |i, j| {
-                (((i * 5 + j * 11) as u64 + seed + off) as f64 * 0.21).sin()
-            });
-            let (a, b, c) = (gen(0), gen(50), gen(150));
-            let lhs = a.matmul(&b.add(&c).unwrap()).unwrap();
-            let rhs = a.matmul(&b).unwrap().add(&a.matmul(&c).unwrap()).unwrap();
-            prop_assert!(lhs.approx_eq(&rhs, 1e-9));
         }
     }
 }

@@ -2,17 +2,23 @@
 //!
 //! The shared substrate of RAN/MRAN and a baseline in its own right: centers
 //! are sampled from the training inputs, widths set by the nearest-neighbor
-//! heuristic, and the linear readout is solved exactly by least squares (the
-//! lazy-RBF comparison of Valls et al. 2004 used networks of this family).
+//! heuristic, and the linear readout is fitted by ridge least squares with a
+//! tiny penalty (the lazy-RBF comparison of Valls et al. 2004 used networks
+//! of this family).
 
 use crate::error::NeuralError;
 use crate::Forecaster;
-use evoforecast_linalg::regression::{LinearRegression, RegressionOptions};
+use evoforecast_linalg::regression::{NormalEqAccumulator, RowPack};
 use evoforecast_linalg::{vector, Matrix};
 use rand::seq::SliceRandom;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+
+/// Ridge penalty of the readout solve, relative to the mean Gram diagonal:
+/// small enough that a well-posed readout is the least-squares one, large
+/// enough to carry coincident centers.
+const READOUT_RIDGE: f64 = 1e-8;
 
 /// A Gaussian RBF unit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -55,13 +61,6 @@ impl RbfNetwork {
         centers: usize,
         seed: u64,
     ) -> Result<RbfNetwork, NeuralError> {
-        if xs.rows() != ys.len() {
-            return Err(NeuralError::ShapeMismatch {
-                what: "targets",
-                expected: xs.rows(),
-                actual: ys.len(),
-            });
-        }
         let km = crate::kmeans::kmeans(xs, centers, 100, 1e-8, seed)?;
         Self::from_centers(xs, ys, km.centers)
     }
@@ -116,6 +115,7 @@ impl RbfNetwork {
     ///
     /// # Errors
     /// * [`NeuralError::InvalidConfig`] on an empty center set,
+    /// * [`NeuralError::ShapeMismatch`] when `ys` and `xs` differ in length,
     /// * [`NeuralError::Diverged`] if the readout solve fails entirely.
     pub fn from_centers(
         xs: &Matrix,
@@ -126,6 +126,13 @@ impl RbfNetwork {
             return Err(NeuralError::InvalidConfig(
                 "need at least one center".into(),
             ));
+        }
+        if xs.rows() != ys.len() {
+            return Err(NeuralError::ShapeMismatch {
+                what: "targets",
+                expected: xs.rows(),
+                actual: ys.len(),
+            });
         }
         let inputs = xs.cols();
 
@@ -159,10 +166,14 @@ impl RbfNetwork {
             })
             .collect();
 
-        // Design matrix of unit responses; readout solved by (ridge-backed)
-        // least squares.
+        // Design matrix of unit responses; readout solved by ridge normal
+        // equations with a tiny penalty.
         let phi = Matrix::from_fn(xs.rows(), units.len(), |i, j| units[j].response(xs.row(i)));
-        let fit = LinearRegression::fit_with(&phi, ys, RegressionOptions::default())
+        let mut acc = NormalEqAccumulator::new(units.len(), true);
+        let rows = (0..phi.rows()).map(|i| phi.row(i)).zip(ys.iter().copied());
+        acc.push_rows(&mut RowPack::new(), rows);
+        let fit = acc
+            .solve(READOUT_RIDGE)
             .map_err(|_| NeuralError::Diverged { epoch: 0 })?;
         for (u, &w) in units.iter_mut().zip(fit.coefficients()) {
             u.weight = w;
@@ -238,6 +249,7 @@ mod tests {
         let (xs, ys) = wave_dataset(50, 3);
         assert!(RbfNetwork::train(&xs, &ys, 0, 1).is_err());
         assert!(RbfNetwork::train(&xs, &ys[..10], 5, 1).is_err());
+        assert!(RbfNetwork::train_kmeans(&xs, &ys[..10], 5, 1).is_err());
         assert!(RbfNetwork::train(&Matrix::zeros(0, 3), &[], 5, 1).is_err());
     }
 

@@ -130,10 +130,6 @@ pub enum ArtifactKind {
     /// (self-describing: carries its window spec).
     #[default]
     Model,
-    /// An [`evoforecast_core::EnsembleCheckpoint`] written by the
-    /// fault-tolerant supervisor; the slot must already exist so the window
-    /// spec can be inherited.
-    Checkpoint,
 }
 
 /// `POST /reload` success body.

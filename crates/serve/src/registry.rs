@@ -12,7 +12,7 @@
 use crate::protocol::{ArtifactKind, ModelInfo};
 use evoforecast_core::checkpoint::fingerprint_json;
 use evoforecast_core::prelude::TrainedModel;
-use evoforecast_core::{CompiledRuleSet, EnsembleCheckpoint, RuleSetPredictor};
+use evoforecast_core::{CompiledRuleSet, RuleSetPredictor};
 use evoforecast_tsdata::window::WindowSpec;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -58,8 +58,6 @@ impl ModelEntry {
 /// Why a registry operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegistryError {
-    /// The named slot does not exist (and the operation needs it to).
-    ModelNotFound(String),
     /// Artifact fingerprint differs from the slot's recorded contract.
     FingerprintMismatch {
         /// Slot that rejected the swap.
@@ -76,7 +74,6 @@ pub enum RegistryError {
 impl std::fmt::Display for RegistryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RegistryError::ModelNotFound(name) => write!(f, "no model slot named {name:?}"),
             RegistryError::FingerprintMismatch {
                 slot,
                 expected,
@@ -177,10 +174,9 @@ impl ModelRegistry {
     /// fingerprint contract. This is the wire-reload path: on any error the
     /// registry is untouched and the old model keeps serving.
     ///
-    /// A [`ArtifactKind::Model`] artifact may also fill a brand-new slot
-    /// (its own fingerprint becomes the contract); a
-    /// [`ArtifactKind::Checkpoint`] carries no window spec, so the slot must
-    /// already exist to inherit one.
+    /// A [`ArtifactKind::Model`] artifact carries its window spec, so it
+    /// may also fill a brand-new slot (its own fingerprint becomes the
+    /// contract).
     ///
     /// # Errors
     /// [`RegistryError`] as documented on the variants.
@@ -190,24 +186,11 @@ impl ModelRegistry {
         path: &Path,
         kind: ArtifactKind,
     ) -> Result<Arc<ModelEntry>, RegistryError> {
+        let ArtifactKind::Model = kind;
         let existing = self.get(name);
-        let (spec, predictor, fingerprint) = match kind {
-            ArtifactKind::Model => {
-                let model = TrainedModel::load_json_file(path)
-                    .map_err(|e| RegistryError::Artifact(format!("{}: {e}", path.display())))?;
-                let fp = spec_fingerprint(&model.spec);
-                (model.spec, model.predictor, fp)
-            }
-            ArtifactKind::Checkpoint => {
-                let slot = existing
-                    .as_ref()
-                    .ok_or_else(|| RegistryError::ModelNotFound(name.to_string()))?;
-                let cp = EnsembleCheckpoint::load(path)
-                    .map_err(|e| RegistryError::Artifact(format!("{}: {e}", path.display())))?;
-                let predictor = RuleSetPredictor::new(cp.rules);
-                (slot.spec, predictor, cp.config_fingerprint)
-            }
-        };
+        let model = TrainedModel::load_json_file(path)
+            .map_err(|e| RegistryError::Artifact(format!("{}: {e}", path.display())))?;
+        let fingerprint = spec_fingerprint(&model.spec);
         if let Some(slot) = &existing {
             if slot.fingerprint != fingerprint {
                 return Err(RegistryError::FingerprintMismatch {
@@ -217,7 +200,7 @@ impl ModelRegistry {
                 });
             }
         }
-        self.swap(name, spec, predictor, fingerprint, existing)
+        self.swap(name, model.spec, model.predictor, fingerprint, existing)
     }
 
     /// Validate, compile, and atomically publish a new entry.
@@ -395,15 +378,6 @@ mod tests {
         assert_eq!(entry.version, 1);
         assert_eq!(entry.fingerprint, spec_fingerprint(&spec()));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn reload_checkpoint_requires_existing_slot() {
-        let reg = ModelRegistry::new();
-        let err = reg
-            .reload("m", Path::new("/nonexistent"), ArtifactKind::Checkpoint)
-            .unwrap_err();
-        assert!(matches!(err, RegistryError::ModelNotFound(_)), "{err}");
     }
 
     #[test]

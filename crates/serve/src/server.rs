@@ -489,10 +489,6 @@ fn reload(request: &Request, registry: &ModelRegistry, stats: &ServerStats) -> R
                 fingerprint: entry.fingerprint,
             })
         }
-        Err(RegistryError::ModelNotFound(name)) => Reply::error(
-            ErrorKind::ModelNotFound,
-            format!("checkpoint reload needs an existing slot; {name:?} is empty"),
-        ),
         Err(e @ RegistryError::FingerprintMismatch { .. }) => {
             Reply::error(ErrorKind::FingerprintMismatch, e.to_string())
         }

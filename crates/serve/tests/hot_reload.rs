@@ -137,70 +137,49 @@ fn fingerprint_mismatch_rejected_old_model_keeps_serving() {
 }
 
 #[test]
-fn checkpoint_artifact_reload_inherits_spec() {
+fn checkpoint_kind_is_a_typed_bad_request_and_the_old_model_keeps_serving() {
     let dir = scratch_dir("checkpoint");
-    let good = dir.join("good.ckpt.json");
-    let bad = dir.join("bad.ckpt.json");
-
-    let new_rule = Rule {
-        condition: Condition::new(vec![Gene::bounded(0.0, 100.0), Gene::Wildcard]),
-        coefficients: vec![0.0, 0.0],
-        intercept: 33.0,
-        prediction: 33.0,
-        error: 0.2,
-        matched: 7,
-    };
-    // A supervisor checkpoint whose config fingerprint was recorded as the
-    // slot's contract (the CLI serve path installs slots this way too).
-    let mut cp = EnsembleCheckpoint {
+    let path = dir.join("campaign.ckpt.json");
+    // A well-formed supervisor checkpoint, even one stamped with the slot's
+    // own contract, is not a reloadable artifact: only models carry a spec.
+    EnsembleCheckpoint {
         version: CHECKPOINT_VERSION,
         config_fingerprint: spec_fingerprint(&spec()),
         executions_done: 1,
         outcomes: vec![],
-        rules: vec![new_rule],
+        rules: vec![Rule {
+            condition: Condition::new(vec![Gene::bounded(0.0, 100.0), Gene::Wildcard]),
+            coefficients: vec![0.0, 0.0],
+            intercept: 33.0,
+            prediction: 33.0,
+            error: 0.2,
+            matched: 7,
+        }],
         folded_rules: 1,
         coverage_len: 0,
         covered_words: vec![],
-    };
-    cp.save(&good).unwrap();
-    cp.config_fingerprint ^= 0xdead_beef;
-    cp.save(&bad).unwrap();
+    }
+    .save(&path)
+    .unwrap();
 
     let server = start_server(ServerConfig::default(), 5.0);
     let addr = server.local_addr();
-
-    // Checkpoint into an unknown slot: needs an existing spec to inherit.
-    let body = format!(
-        r#"{{"model": "ghost", "path": {:?}, "kind": "checkpoint"}}"#,
-        good.to_str().unwrap()
-    );
-    let r = post(addr, "/reload", &body);
-    assert_eq!(r.status, 404);
-    assert_eq!(r.error_kind(), ErrorKind::ModelNotFound);
-
-    // Fingerprint-mismatched checkpoint: rejected.
-    let body = format!(
-        r#"{{"path": {:?}, "kind": "checkpoint"}}"#,
-        bad.to_str().unwrap()
-    );
-    let r = post(addr, "/reload", &body);
-    assert_eq!(r.status, 409);
-    assert_eq!(r.error_kind(), ErrorKind::FingerprintMismatch);
-
-    // Matching checkpoint: swapped in, spec inherited from the slot.
-    let body = format!(
-        r#"{{"path": {:?}, "kind": "checkpoint"}}"#,
-        good.to_str().unwrap()
-    );
-    let r = post(addr, "/reload", &body);
-    assert_eq!(r.status, 200, "{}", r.body);
-    let reload: ReloadResponse = serde_json::from_str(&r.body).unwrap();
-    assert_eq!(reload.version, 2);
-    assert_eq!(reload.rules, 1);
+    for model in ["default", "ghost"] {
+        let body = format!(
+            r#"{{"model": {model:?}, "path": {:?}, "kind": "checkpoint"}}"#,
+            path.to_str().unwrap()
+        );
+        let r = post(addr, "/reload", &body);
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert_eq!(r.error_kind(), ErrorKind::BadRequest);
+    }
 
     let r = post(addr, "/forecast", r#"{"windows": [[1.0, 2.0]]}"#);
     let resp: ForecastResponse = serde_json::from_str(&r.body).unwrap();
-    assert_eq!(resp.predictions[0], Some(33.0));
+    assert_eq!(resp.model_version, 1);
+    assert_eq!(resp.predictions[0], Some(5.0));
+    let r = get(addr, "/models");
+    assert!(!r.body.contains("ghost"), "{}", r.body);
     server.shutdown();
 }
 
