@@ -15,7 +15,7 @@ fn run_ok(parts: &[&str]) -> String {
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("evoforecast_cli_{tag}"));
+    let dir = std::env::temp_dir().join(format!("evoforecast_cli_{tag}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -259,7 +259,6 @@ fn a_flag_the_command_does_not_accept_is_refused_before_it_runs() {
     let data = dir.join("v.csv");
     let model = dir.join("m.json");
     let (data_s, model_s) = (data.to_str().unwrap(), model.to_str().unwrap());
-    std::fs::remove_file(&model).ok();
     run_ok(&[
         "generate",
         "--series",

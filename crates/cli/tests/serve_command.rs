@@ -12,7 +12,8 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 fn artifact(value: f64) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("evoforecast_serve_command");
+    let dir =
+        std::env::temp_dir().join(format!("evoforecast_serve_command_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("model.json");
     let rule = Rule {

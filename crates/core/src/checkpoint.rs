@@ -322,7 +322,10 @@ mod tests {
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("evoforecast_checkpoint_test");
+        let dir = std::env::temp_dir().join(format!(
+            "evoforecast_checkpoint_test_{}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
     }

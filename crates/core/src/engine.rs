@@ -16,6 +16,17 @@
 //! every window against the whole condition: the literal transcription of
 //! §3.1–3.3 in `tests/common/train.rs` pins every rule, match set and the
 //! training coverage to that, generation by generation.
+//!
+//! Evaluation follows the AND: match → victim → bound → fit → replace. The
+//! crowding victim depends only on the offspring's scalar prediction `p`, the
+//! mean matched target, which the match set alone fixes, so it is chosen
+//! before any regression. No fitness exceeds
+//! [`crate::fitness::FitnessParams::upper_bound`] of the match count, since
+//! `e_R ≥ 0`; an offspring whose bound does not strictly beat the victim's
+//! fitness would lose the strict `>` of [`replacement::try_replace`] anyway,
+//! so it is rejected without its Gram, solve or residual pass. The skip is
+//! exact, not a heuristic: the oracle, which fits every offspring, agrees bit
+//! for bit.
 
 use crate::bitset::MatchBitset;
 use crate::config::EngineConfig;
@@ -23,7 +34,7 @@ use crate::dataset::{self, ColumnStore, ExampleSet};
 use crate::error::EvoError;
 use crate::matchindex::MatchIndex;
 use crate::population::{GeneBitsets, Individual, Population};
-use crate::regress::{fit_via_bitset, rule_from_parts};
+use crate::regress::{count_and_prediction, fit_via_bitset, rule_from_parts};
 use crate::rule::{Condition, Gene, Rule};
 use crate::{crossover, init, mutation, replacement, selection};
 use evoforecast_linalg::regression::RegressionOptions;
@@ -38,8 +49,11 @@ pub struct EngineStats {
     pub generations: usize,
     /// Offspring that entered the population.
     pub replacements: usize,
-    /// Full offspring evaluations performed (match + regression).
+    /// Individuals evaluated: the initial population plus every offspring,
+    /// whether fitted or rejected on the bound.
     pub evaluations: usize,
+    /// Offspring rejected on the fitness bound, without a regression.
+    pub bound_rejections: usize,
 }
 
 /// One evolution run over an arbitrary example set. The paper's setting is
@@ -69,8 +83,8 @@ pub struct GenericEngine<E: ExampleSet> {
 /// State of the delta evaluation path: the columnar and sorted-projection
 /// data views, one [`GeneBitsets`] per population slot (lockstep with `match_sets`), and the
 /// offspring's match-set buffers, which are swapped into a population slot
-/// on replacement instead of being reallocated. (The refit still allocates
-/// every generation; see [`GenericEngine::offspring_delta`].)
+/// on replacement instead of being reallocated. (The refit, when it runs,
+/// still allocates; see [`GenericEngine::offspring_delta`].)
 #[derive(Debug)]
 struct DeltaState {
     columns: ColumnStore,
@@ -180,13 +194,19 @@ impl<E: ExampleSet> GenericEngine<E> {
 
     /// Delta offspring evaluation: tracked crossover copies per-gene bitsets
     /// from the donor parent, tracked mutation recomputes only the rewritten
-    /// genes, the full match set is a selectivity-ordered AND, and the Gram /
-    /// `Xᵀy` are rebuilt over the resulting set bits through the standard
-    /// chunk discipline. The match-set buffers (per-gene bitsets and the
-    /// full set) live in [`DeltaState`] and are swapped — not cloned — into
-    /// the population slots on replacement, so they are never reallocated.
-    /// The refit still allocates every generation:
-    /// [`crate::parallel::accumulate_from_bitset`] makes one
+    /// genes, and the full match set is a selectivity-ordered AND. The match
+    /// count and the scalar prediction come straight from that set
+    /// ([`count_and_prediction`], summed in the Gram's `Σy` order), which
+    /// picks the victim. Only when the fitness bound of the match count
+    /// strictly beats the victim's fitness are the Gram / `Xᵀy` rebuilt over
+    /// the set bits through the standard chunk discipline, solved and scored;
+    /// otherwise the offspring is rejected unfitted, exactly as the fitted
+    /// comparison would reject it (see the module doc).
+    ///
+    /// The match-set buffers (per-gene bitsets and the full set) live in
+    /// [`DeltaState`] and are swapped — not cloned — into the population
+    /// slots on replacement, so they are never reallocated. A refit still
+    /// allocates: [`crate::parallel::accumulate_from_bitset`] makes one
     /// `NormalEqAccumulator` (three `Vec`s) per chunk, the `Vec` of chunk
     /// parts and one row-pack block per call (per worker when parallel), and
     /// the solve allocates its system matrix, factor and coefficients.
@@ -239,20 +259,28 @@ impl<E: ExampleSet> GenericEngine<E> {
             }
         }
         scratch_genes.intersect_into(scratch_full);
-
-        let offspring = evaluate(child, scratch_full, &self.data, &self.config);
         self.stats.evaluations += 1;
 
+        // The victim depends only on the prediction, which the match set
+        // alone fixes; no fitness can exceed the bound, so an offspring whose
+        // bound does not strictly beat the victim is rejected unfitted.
+        let (matched, prediction) = count_and_prediction(scratch_full, &self.data);
         let victim = replacement::choose_victim(
             self.config.replacement,
             &self.population,
-            offspring.rule.prediction,
+            prediction,
             &mut self.rng,
         );
-        let victim_viable = !self
-            .config
-            .fitness
-            .is_unfit(self.population.get(victim).fitness);
+        let victim_fitness = self.population.get(victim).fitness;
+        let could_win = self.config.fitness.upper_bound(matched) > victim_fitness;
+        if !could_win {
+            self.stats.bound_rejections += 1;
+            return false;
+        }
+
+        let offspring = evaluate(child, scratch_full, &self.data, &self.config);
+        debug_assert_eq!(offspring.rule.prediction.to_bits(), prediction.to_bits());
+        let victim_viable = !self.config.fitness.is_unfit(victim_fitness);
         let offspring_viable = !self.config.fitness.is_unfit(offspring.fitness);
         let replaced = replacement::try_replace(&mut self.population, victim, offspring);
 

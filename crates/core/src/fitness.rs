@@ -49,6 +49,21 @@ impl FitnessParams {
         }
     }
 
+    /// The highest fitness a rule with `matched` windows can reach, whatever
+    /// its error: `f_min` when `matched ≤ 1`, else `max(matched · EMAX,
+    /// f_min)`. Sound in floating point, because `e_R ≥ 0` (a fold of `|·|`
+    /// from `0.0`) and `fl(a − e) ≤ a` for the representable
+    /// `a = fl(matched · EMAX)`, so `fitness(matched, e) ≤
+    /// upper_bound(matched)` for every `e` in `[0, ∞]` and for NaN.
+    #[inline]
+    pub fn upper_bound(&self, matched: usize) -> f64 {
+        if matched > 1 {
+            (matched as f64 * self.emax).max(self.f_min)
+        } else {
+            self.f_min
+        }
+    }
+
     /// Is a fitness value the unusable-rule sentinel?
     #[inline]
     pub fn is_unfit(&self, fitness: f64) -> bool {
@@ -97,6 +112,21 @@ mod tests {
     }
 
     #[test]
+    fn upper_bound_below_two_matches_is_f_min() {
+        for p in [
+            FitnessParams::new(10.0),
+            FitnessParams {
+                emax: 10.0,
+                f_min: 1e6,
+            },
+        ] {
+            assert_eq!(p.upper_bound(0), p.f_min);
+            assert_eq!(p.upper_bound(1), p.f_min);
+            assert_eq!(p.upper_bound(2), 20.0_f64.max(p.f_min));
+        }
+    }
+
+    #[test]
     fn relative_scales_by_range() {
         let p = FitnessParams::relative(200.0, 0.1);
         assert_eq!(p.emax, 20.0);
@@ -133,6 +163,24 @@ mod tests {
             let p = FitnessParams::new(emax);
             let (lo, hi) = if e1 <= e2 { (e1, e2) } else { (e2, e1) };
             prop_assert!(p.fitness(n, lo * emax) >= p.fitness(n, hi * emax));
+        }
+
+        #[test]
+        fn fitness_never_exceeds_the_upper_bound(
+            emax in 1e-3..1e3f64,
+            m in 0usize..100_000,
+            e_sel in 0usize..6,
+            e_frac in 0.0..2.0f64,
+            e_any in 0.0..f64::MAX,
+            f_min_sel in 0usize..3,
+        ) {
+            let mut p = FitnessParams::new(emax);
+            // The default sentinel, one above every regular fitness of `m`,
+            // and one between the bound's two branches.
+            p.f_min = [p.f_min, m as f64 * emax + 1.0, m as f64 * emax * 0.5][f_min_sel];
+            let e = [0.0, e_frac * emax, e_any, f64::INFINITY, f64::NAN, f64::MIN_POSITIVE][e_sel];
+            let bound = p.upper_bound(m);
+            prop_assert!(p.fitness(m, e) <= bound, "fitness {} > bound {}", p.fitness(m, e), bound);
         }
 
         #[test]

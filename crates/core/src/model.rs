@@ -227,7 +227,8 @@ mod tests {
 
     #[test]
     fn file_round_trip_and_garbage_rejection() {
-        let dir = std::env::temp_dir().join("evoforecast_model_test");
+        let dir =
+            std::env::temp_dir().join(format!("evoforecast_model_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.json");
         sample_model().save_json_file(&path).unwrap();

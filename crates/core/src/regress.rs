@@ -14,7 +14,10 @@
 //! over its set bits ([`crate::parallel::accumulate_from_bitset`]) without
 //! materializing a design matrix, solved by Cholesky
 //! ([`fit_from_accumulator`]), and a second pass over only the `K` matched
-//! rows computes `e_R`. It runs once per offspring, every generation.
+//! rows computes `e_R`. It runs for every initial individual, and for every
+//! offspring whose fitness bound can beat its crowding victim: the victim
+//! needs only the match count and the mean matched target, which
+//! `count_and_prediction` reads off the match set without a Gram.
 //!
 //! To keep results bit-identical across the sequential and parallel
 //! paths, accumulation is chunked: windows are grouped into fixed
@@ -25,7 +28,7 @@
 //! per row through the same chunk structure, and pins the engine to it bit
 //! for bit.
 
-use crate::bitset::MatchBitset;
+use crate::bitset::{ones_in_words, MatchBitset};
 use crate::dataset::ExampleSet;
 use crate::rule::{Condition, Rule};
 use evoforecast_linalg::regression::{NormalEqAccumulator, RegressionOptions};
@@ -35,6 +38,37 @@ use evoforecast_linalg::regression::{NormalEqAccumulator, RegressionOptions};
 /// parallel matcher gets useful work units, large enough that per-chunk
 /// accumulator overhead stays negligible.
 pub const GRAM_CHUNK: usize = 4096;
+
+/// The match count `N_R` and the scalar prediction `p` (mean matched
+/// target) of a match set, without building its normal equations. The
+/// targets are summed exactly as [`crate::parallel::accumulate_from_bitset`]
+/// sums `Σy` — one partial per [`GRAM_CHUNK`] from `+0.0` in ascending
+/// window order, the non-empty partials added in ascending chunk order from
+/// `+0.0` — so the result equals [`FittedPart::prediction`] bit for bit: a
+/// single match predicts its own target and an empty set predicts `0.0`, as
+/// [`fit_from_accumulator`] and [`rule_from_parts`] do.
+pub(crate) fn count_and_prediction<E: ExampleSet>(matched: &MatchBitset, data: &E) -> (usize, f64) {
+    let words_per_chunk = GRAM_CHUNK / 64;
+    let (mut count, mut sum, mut last) = (0usize, 0.0_f64, 0usize);
+    for (c, chunk_words) in matched.words().chunks(words_per_chunk).enumerate() {
+        let (mut n, mut partial) = (0usize, 0.0_f64);
+        for i in ones_in_words(chunk_words, c * words_per_chunk) {
+            partial += data.target(i);
+            n += 1;
+            last = i;
+        }
+        if n > 0 {
+            sum += partial;
+            count += n;
+        }
+    }
+    let prediction = match count {
+        0 => 0.0,
+        1 => data.target(last),
+        _ => sum / count as f64,
+    };
+    (count, prediction)
+}
 
 /// The derived predicting part.
 #[derive(Debug, Clone)]
@@ -278,5 +312,70 @@ mod tests {
         assert_eq!(rule.matched, 2);
         assert!(rule.coefficients.iter().all(|c| c.is_finite()));
         assert!(rule.error.is_finite());
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Windows over three and a bit [`GRAM_CHUNK`]s.
+        const SERIES_LEN: usize = 3 * GRAM_CHUNK + 300;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+            #[test]
+            fn count_and_prediction_equals_the_fitted_prediction(
+                seed in 0u64..1_000_000,
+                magnitude in -3i32..7,
+                kind in 0usize..4,
+                density in 1usize..40,
+                empty_middle in 0usize..2,
+                threshold_sel in 0usize..2,
+            ) {
+                // Targets spanning several magnitudes, so a different
+                // summation order would round differently.
+                let scale = 10f64.powi(magnitude);
+                let vals: Vec<f64> = (0..SERIES_LEN as u64)
+                    .map(|i| {
+                        let h = (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
+                        (h as f64 / (1u64 << 53) as f64 - 0.3) * scale * (1 + i % 7) as f64
+                    })
+                    .collect();
+                let ds = WindowSpec::new(2, 1).unwrap().dataset(&vals).unwrap();
+                let n = ds.len();
+                let pick = |k: u64| ((seed.wrapping_mul(2_654_435_761) ^ k) % n as u64) as usize;
+                let mut bits = MatchBitset::new(n);
+                match kind {
+                    0 => {}
+                    1 => bits.set(pick(1)),
+                    2 => {
+                        bits.set(pick(1));
+                        bits.set((pick(1) + 1 + pick(2) % (n - 1)) % n);
+                    }
+                    _ => {
+                        for i in (0..n).filter(|&i| (i as u64 ^ seed).is_multiple_of(density as u64)) {
+                            if !(empty_middle == 1 && (GRAM_CHUNK..2 * GRAM_CHUNK).contains(&i)) {
+                                bits.set(i);
+                            }
+                        }
+                    }
+                }
+                let expected_count = [0, 1, 2, bits.count_ones()][kind];
+                prop_assert_eq!(bits.count_ones(), expected_count);
+
+                let (count, prediction) = count_and_prediction(&bits, &ds);
+                let (fit_count, model) =
+                    fit_via_bitset(&bits, &ds, RegressionOptions::fast(), [1, usize::MAX][threshold_sel]);
+                let rule = rule_from_parts(Condition::all_wildcards(2), model, fit_count);
+                prop_assert_eq!(count, fit_count);
+                prop_assert_eq!(
+                    prediction.to_bits(),
+                    rule.prediction.to_bits(),
+                    "{} vs {}",
+                    prediction,
+                    rule.prediction
+                );
+            }
+        }
     }
 }

@@ -605,7 +605,10 @@ mod tests {
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("evoforecast_supervisor_test");
+        let dir = std::env::temp_dir().join(format!(
+            "evoforecast_supervisor_test_{}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
     }

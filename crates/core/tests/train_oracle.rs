@@ -131,4 +131,15 @@ fn multi_chunk_venice_run_matches_the_oracle_at_both_thresholds() {
         }
     }
     assert!(replaced > 0, "the run must evolve rules");
+    // The comparison covers both rejection routes: offspring refused on
+    // the fitness bound without a fit, and offspring fitted then refused.
+    for engine in &engines {
+        let stats = engine.stats();
+        assert!(stats.bound_rejections > 0, "no bound rejection: {stats:?}");
+        let fitted = stats.generations - stats.bound_rejections;
+        assert!(
+            fitted > stats.replacements,
+            "no fitted rejection: {stats:?}"
+        );
+    }
 }

@@ -91,11 +91,6 @@ impl CholeskyDecomposition {
         self.l.rows()
     }
 
-    /// The lower-triangular factor `L`.
-    pub fn factor(&self) -> &Matrix {
-        &self.l
-    }
-
     /// Solve `A x = b` by forward substitution with `L` then back
     /// substitution with `Lᵀ`.
     ///
@@ -187,15 +182,6 @@ mod tests {
             .solve(&[10.0, 9.0])
             .unwrap();
         assert_eq!(xa, xb);
-    }
-
-    #[test]
-    fn factor_reconstructs_matrix() {
-        let a = spd_matrix(5, 3);
-        let ch = CholeskyDecomposition::new(&a).unwrap();
-        let rec = ch.factor().matmul(&ch.factor().transpose()).unwrap();
-        assert!(rec.approx_eq(&a, 1e-9));
-        assert_eq!(ch.order(), 5);
     }
 
     #[test]

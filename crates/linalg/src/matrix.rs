@@ -29,15 +29,6 @@ impl Matrix {
         }
     }
 
-    /// Create a matrix of the given shape filled with `value`.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
-    }
-
     /// Identity matrix of order `n`.
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
@@ -45,22 +36,6 @@ impl Matrix {
             m[(i, i)] = 1.0;
         }
         m
-    }
-
-    /// Build from a row-major data vector.
-    ///
-    /// # Panics
-    /// Panics when `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(
-            data.len(),
-            rows * cols,
-            "Matrix::from_vec: data length {} != {}x{}",
-            data.len(),
-            rows,
-            cols
-        );
-        Matrix { rows, cols, data }
     }
 
     /// Build from a slice of row slices. All rows must have equal length.
@@ -121,12 +96,6 @@ impl Matrix {
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Mutably borrow the underlying row-major data.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
     }
 
     /// Borrow row `i` as a slice.
@@ -301,12 +270,6 @@ mod tests {
                 assert_eq!(i3[(r, c)], if r == c { 1.0 } else { 0.0 });
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "data length")]
-    fn from_vec_length_mismatch_panics() {
-        let _ = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -5,41 +5,12 @@
 //! data representation transparent avoids conversions in the hot rule-matching
 //! path.
 
-use crate::error::LinalgError;
-
-/// Dot product of two equal-length slices.
-///
-/// # Errors
-/// Returns [`LinalgError::ShapeMismatch`] when the lengths differ.
-pub fn dot(a: &[f64], b: &[f64]) -> Result<f64, LinalgError> {
-    if a.len() != b.len() {
-        return Err(LinalgError::ShapeMismatch {
-            op: "dot",
-            left: (1, a.len()),
-            right: (1, b.len()),
-        });
-    }
-    Ok(dot_unchecked(a, b))
-}
-
 /// Dot product without the length check; callers must guarantee equal lengths.
 #[inline]
 pub fn dot_unchecked(a: &[f64], b: &[f64]) -> f64 {
     // Iterate over zipped slices so the compiler can elide bounds checks and
     // vectorize (see the perf-book guidance on iteration vs indexing).
     a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum()
-}
-
-/// Euclidean (L2) norm.
-#[inline]
-pub fn norm2(a: &[f64]) -> f64 {
-    dot_unchecked(a, a).sqrt()
-}
-
-/// L1 norm (sum of absolute values).
-#[inline]
-pub fn norm1(a: &[f64]) -> f64 {
-    a.iter().map(|x| x.abs()).sum()
 }
 
 /// Infinity norm (maximum absolute value); `0.0` for an empty slice.
@@ -58,29 +29,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     for (yi, &xi) in y.iter_mut().zip(x.iter()) {
         *yi += alpha * xi;
     }
-}
-
-/// Scale a slice in place: `x *= alpha`.
-#[inline]
-pub fn scale(alpha: f64, x: &mut [f64]) {
-    for xi in x.iter_mut() {
-        *xi *= alpha;
-    }
-}
-
-/// Element-wise subtraction `a - b` into a new vector.
-///
-/// # Errors
-/// Returns [`LinalgError::ShapeMismatch`] when the lengths differ.
-pub fn sub(a: &[f64], b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    if a.len() != b.len() {
-        return Err(LinalgError::ShapeMismatch {
-            op: "sub",
-            left: (1, a.len()),
-            right: (1, b.len()),
-        });
-    }
-    Ok(a.iter().zip(b.iter()).map(|(&x, &y)| x - y).collect())
 }
 
 /// Squared Euclidean distance between two equal-length slices.
@@ -105,31 +53,10 @@ pub fn all_finite(a: &[f64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
-    fn dot_basic() {
-        assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]).unwrap(), 32.0);
-    }
-
-    #[test]
-    fn dot_mismatch_errors() {
-        assert!(matches!(
-            dot(&[1.0], &[1.0, 2.0]),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn dot_empty_is_zero() {
-        assert_eq!(dot(&[], &[]).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn norms() {
+    fn norm_inf_is_max_abs() {
         let v = [3.0, -4.0];
-        assert!((norm2(&v) - 5.0).abs() < 1e-12);
-        assert!((norm1(&v) - 7.0).abs() < 1e-12);
         assert!((norm_inf(&v) - 4.0).abs() < 1e-12);
         assert_eq!(norm_inf(&[]), 0.0);
     }
@@ -143,18 +70,8 @@ mod tests {
     }
 
     #[test]
-    fn scale_in_place() {
-        let mut x = [1.0, -2.0, 3.0];
-        scale(-2.0, &mut x);
-        assert_eq!(x, [-2.0, 4.0, -6.0]);
-    }
-
-    #[test]
-    fn sub_and_dist() {
-        let d = sub(&[3.0, 5.0], &[1.0, 1.0]).unwrap();
-        assert_eq!(d, vec![2.0, 4.0]);
+    fn squared_distance() {
         assert!((dist2_sq(&[3.0, 5.0], &[1.0, 1.0]) - 20.0).abs() < 1e-12);
-        assert!(sub(&[1.0], &[]).is_err());
     }
 
     #[test]
@@ -163,40 +80,5 @@ mod tests {
         assert!(!all_finite(&[0.0, f64::NAN]));
         assert!(!all_finite(&[f64::INFINITY]));
         assert!(all_finite(&[]));
-    }
-
-    proptest! {
-        #[test]
-        fn dot_commutes(v in proptest::collection::vec(-1e3..1e3f64, 0..32)) {
-            let w: Vec<f64> = v.iter().rev().copied().collect();
-            let ab = dot(&v, &w).unwrap();
-            let ba = dot(&w, &v).unwrap();
-            prop_assert!((ab - ba).abs() <= 1e-9 * (1.0 + ab.abs()));
-        }
-
-        #[test]
-        fn cauchy_schwarz(
-            a in proptest::collection::vec(-1e3..1e3f64, 1..32),
-            seed in 0u64..1000,
-        ) {
-            // Build b deterministically from a and seed so lengths match.
-            let b: Vec<f64> = a
-                .iter()
-                .enumerate()
-                .map(|(i, &x)| x * ((seed as f64 + i as f64).sin()))
-                .collect();
-            let lhs = dot(&a, &b).unwrap().abs();
-            let rhs = norm2(&a) * norm2(&b);
-            prop_assert!(lhs <= rhs + 1e-6 * (1.0 + rhs));
-        }
-
-        #[test]
-        fn triangle_inequality(
-            a in proptest::collection::vec(-1e3..1e3f64, 1..32),
-        ) {
-            let b: Vec<f64> = a.iter().map(|x| x * 0.5 - 1.0).collect();
-            let sum: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
-            prop_assert!(norm2(&sum) <= norm2(&a) + norm2(&b) + 1e-9);
-        }
     }
 }

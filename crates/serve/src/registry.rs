@@ -331,7 +331,8 @@ mod tests {
 
     #[test]
     fn reload_model_artifact_checks_fingerprint() {
-        let dir = std::env::temp_dir().join("evoforecast_registry_test");
+        let dir =
+            std::env::temp_dir().join(format!("evoforecast_registry_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let good = dir.join("good.json");
         let bad = dir.join("bad.json");
@@ -367,7 +368,8 @@ mod tests {
 
     #[test]
     fn reload_model_artifact_can_create_slot() {
-        let dir = std::env::temp_dir().join("evoforecast_registry_test");
+        let dir =
+            std::env::temp_dir().join(format!("evoforecast_registry_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fresh.json");
         TrainedModel::new(spec(), predictor(3.0), ModelMetadata::default())

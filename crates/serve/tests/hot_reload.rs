@@ -21,7 +21,7 @@ use std::time::Duration;
 
 fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
-        .join("evoforecast_hot_reload")
+        .join(format!("evoforecast_hot_reload_{}", std::process::id()))
         .join(name);
     std::fs::create_dir_all(&dir).unwrap();
     dir

@@ -170,7 +170,7 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("evoforecast_io_test");
+        let dir = std::env::temp_dir().join(format!("evoforecast_io_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.csv");
         let s = TimeSeries::new("roundtrip", vec![0.25, 0.5, 0.75]).unwrap();
