@@ -289,7 +289,10 @@ pub fn fill_gene_bitset(column: &[f64], lo: f64, hi: f64, out: &mut MatchBitset)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rule::Gene;
+    use evoforecast_tsdata::gen::venice::VeniceTide;
     use evoforecast_tsdata::window::WindowSpec;
+    use proptest::prelude::*;
 
     #[test]
     fn windowed_dataset_implements_example_set() {
@@ -380,7 +383,7 @@ mod tests {
         }
 
         // Strided delay embedding: no native column, the store transposes.
-        let strided = evoforecast_tsdata::window::WindowSpec::with_spacing(3, 1, 2)
+        let strided = WindowSpec::with_spacing(3, 1, 2)
             .unwrap()
             .dataset(&vals)
             .unwrap();
@@ -410,5 +413,47 @@ mod tests {
         let mut bits = MatchBitset::new(200);
         fill_gene_bitset(&long, 63.0, 130.0, &mut bits);
         assert_eq!(bits.to_indices(), (63..=130).collect::<Vec<_>>());
+        // Ramp windows: [3, 5] on position 0 keeps both boundary windows.
+        let ramp: Vec<f64> = (0..20).map(|i| i as f64).collect();
+        let ds = WindowSpec::new(2, 1).unwrap().dataset(&ramp).unwrap();
+        let mut bits = MatchBitset::new(ExampleSet::len(&ds));
+        fill_gene_bitset(ds.column(0).unwrap(), 3.0, 5.0, &mut bits);
+        assert_eq!(bits.to_indices(), vec![3, 4, 5]);
+    }
+
+    /// Windows whose position-`p` value the gene `[lo, hi]` accepts, by
+    /// brute force over the rows.
+    fn accepted<E: ExampleSet>(ds: &E, p: usize, lo: f64, hi: f64) -> Vec<usize> {
+        let gene = Gene::Bounded { lo, hi };
+        (0..ds.len())
+            .filter(|&i| gene.accepts(ds.features(i)[p]))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        /// The sweep fills exactly the [`Gene::accepts`] member set, through
+        /// a native spacing-1 column and through a transposed strided one.
+        #[test]
+        fn sweep_agrees_with_gene_accepts(
+            seed in 0u64..500,
+            p in 0usize..3,
+            lo in -80.0..120.0f64,
+            width in 0.1..80.0f64,
+        ) {
+            let series = VeniceTide::default().generate(800, seed).into_values();
+            let hi = lo + width;
+            for spacing in [1, 3] {
+                let ds = WindowSpec::with_spacing(3, 1, spacing)
+                    .unwrap()
+                    .dataset(&series)
+                    .unwrap();
+                prop_assert_eq!(ds.column(p).is_some(), spacing == 1);
+                let store = ColumnStore::build(&ds);
+                let mut bits = MatchBitset::new(ExampleSet::len(&ds));
+                fill_gene_bitset(store.column(&ds, p), lo, hi, &mut bits);
+                prop_assert_eq!(bits.to_indices(), accepted(&ds, p, lo, hi));
+            }
+        }
     }
 }

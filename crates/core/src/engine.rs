@@ -10,12 +10,12 @@
 //! The offspring's match set is never recomputed from scratch (delta
 //! re-evaluation): each individual carries one bitset per bounded gene
 //! ([`crate::population::GeneBitsets`]), crossover copies the donor parent's
-//! bitsets, mutation recomputes only the mutated genes (sorted-projection
-//! range query or columnar sweep), and the full match set is a
-//! selectivity-ordered word-wise AND. Results are bit-identical to matching
-//! every window against the whole condition: the literal transcription of
-//! §3.1–3.3 in `tests/common/train.rs` pins every rule, match set and the
-//! training coverage to that, generation by generation.
+//! bitsets, mutation recomputes only the mutated genes (one columnar sweep
+//! each), and the full match set is a selectivity-ordered word-wise AND.
+//! Results are bit-identical to matching every window against the whole
+//! condition: the literal transcription of §3.1–3.3 in
+//! `tests/common/train.rs` pins every rule, match set and the training
+//! coverage to that, generation by generation.
 //!
 //! Evaluation follows the AND: match → victim → bound → fit → replace. The
 //! crowding victim depends only on the offspring's scalar prediction `p`, the
@@ -32,7 +32,6 @@ use crate::bitset::MatchBitset;
 use crate::config::EngineConfig;
 use crate::dataset::{self, ColumnStore, ExampleSet};
 use crate::error::EvoError;
-use crate::matchindex::MatchIndex;
 use crate::population::{GeneBitsets, Individual, Population};
 use crate::regress::{count_and_prediction, fit_via_bitset, rule_from_parts};
 use crate::rule::{Condition, Gene, Rule};
@@ -80,15 +79,14 @@ pub struct GenericEngine<E: ExampleSet> {
     stats: EngineStats,
 }
 
-/// State of the delta evaluation path: the columnar and sorted-projection
-/// data views, one [`GeneBitsets`] per population slot (lockstep with `match_sets`), and the
+/// State of the delta evaluation path: the columnar data view, one
+/// [`GeneBitsets`] per population slot (lockstep with `match_sets`), and the
 /// offspring's match-set buffers, which are swapped into a population slot
 /// on replacement instead of being reallocated. (The refit, when it runs,
 /// still allocates; see [`GenericEngine::offspring_delta`].)
 #[derive(Debug)]
 struct DeltaState {
     columns: ColumnStore,
-    index: MatchIndex,
     /// `gene_sets[k]` = per-gene match bitsets of individual `k`.
     gene_sets: Vec<GeneBitsets>,
     /// Offspring gene sets under construction; swapped into `gene_sets` on
@@ -128,7 +126,6 @@ impl<E: ExampleSet> GenericEngine<E> {
     pub fn from_examples(config: EngineConfig, data: E) -> Result<GenericEngine<E>, EvoError> {
         config.validate()?;
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-        let index = MatchIndex::build(&data);
         let columns = ColumnStore::build(&data);
 
         let conditions = init::initialize(config.init, &data, config.population_size, &mut rng);
@@ -138,7 +135,7 @@ impl<E: ExampleSet> GenericEngine<E> {
         let mut gene_sets = Vec::with_capacity(conditions.len());
         for c in conditions {
             stats.evaluations += 1;
-            let gs = build_gene_sets(&c, &data, &columns, &index);
+            let gs = build_gene_sets(&c, &data, &columns);
             let mut full = MatchBitset::new(data.len());
             gs.intersect_into(&mut full);
             individuals.push(evaluate(c, &full, &data, &config));
@@ -156,7 +153,6 @@ impl<E: ExampleSet> GenericEngine<E> {
 
         let delta = DeltaState {
             columns,
-            index,
             gene_sets,
             scratch_genes: GeneBitsets::new(data.feature_len(), data.len()),
             scratch_full: MatchBitset::new(data.len()),
@@ -213,7 +209,6 @@ impl<E: ExampleSet> GenericEngine<E> {
     fn offspring_delta(&mut self, ia: usize, ib: usize) -> bool {
         let DeltaState {
             columns,
-            index,
             gene_sets,
             scratch_genes,
             scratch_full,
@@ -246,7 +241,7 @@ impl<E: ExampleSet> GenericEngine<E> {
                 match gene {
                     Gene::Wildcard => scratch_genes.set_wildcard(g),
                     Gene::Bounded { lo, hi } => {
-                        refill_gene(scratch_genes, g, lo, hi, columns, &self.data, index)
+                        refill_gene(scratch_genes, g, lo, hi, columns, &self.data)
                     }
                 }
             } else {
@@ -389,12 +384,8 @@ fn evaluate<E: ExampleSet>(
     Individual { rule, fitness }
 }
 
-/// Recompute one bounded gene's bitset. The gene's measured selectivity
-/// picks the route: intervals admitting under
-/// [`crate::matchindex::SCAN_FRACTION`] of the windows go through the
-/// sorted-projection range query (`O(log N + K)`), broader ones through the
-/// cache-friendly columnar sweep (`O(N)`). Both produce the exact
-/// [`Gene::accepts`] member set.
+/// Recompute one bounded gene's bitset by the columnar sweep over position
+/// `g`, which yields the exact [`Gene::accepts`] member set.
 fn refill_gene<E: ExampleSet>(
     gene_sets: &mut GeneBitsets,
     g: usize,
@@ -402,12 +393,9 @@ fn refill_gene<E: ExampleSet>(
     hi: f64,
     columns: &ColumnStore,
     data: &E,
-    index: &MatchIndex,
 ) {
     gene_sets.recompute_with(g, |bits| {
-        if !index.fill_gene_bitset(g, lo, hi, bits) {
-            dataset::fill_gene_bitset(columns.column(data, g), lo, hi, bits);
-        }
+        dataset::fill_gene_bitset(columns.column(data, g), lo, hi, bits)
     });
 }
 
@@ -417,11 +405,10 @@ fn build_gene_sets<E: ExampleSet>(
     condition: &Condition,
     data: &E,
     columns: &ColumnStore,
-    index: &MatchIndex,
 ) -> GeneBitsets {
     let mut gs = GeneBitsets::new(condition.len(), data.len());
     for (g, lo, hi) in condition.bounded() {
-        refill_gene(&mut gs, g, lo, hi, columns, data, index);
+        refill_gene(&mut gs, g, lo, hi, columns, data);
     }
     gs
 }

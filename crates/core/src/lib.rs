@@ -53,7 +53,6 @@ pub mod engine;
 pub mod error;
 pub mod fitness;
 pub mod init;
-pub mod matchindex;
 pub mod model;
 pub mod multistep;
 pub mod mutation;

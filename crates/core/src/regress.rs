@@ -8,7 +8,7 @@
 //!    linear regression over those vectors,
 //! 4. the expected error is `e_R = max_i |v_i − ṽ_i|`.
 //!
-//! The engine's entry is [`fit_via_bitset`]: the match set is already known
+//! The engine's entry is `fit_via_bitset`: the match set is already known
 //! (ANDed together from per-gene bitsets by delta re-evaluation), so the
 //! `(D+1)×(D+1)` normal equations (`XᵀX` Gram and `Xᵀy`) are accumulated
 //! over its set bits ([`crate::parallel::accumulate_from_bitset`]) without
@@ -179,7 +179,7 @@ pub fn fit_from_accumulator<E: ExampleSet>(
 /// parallelized when the dataset has at least `threshold` windows), then
 /// solves and computes `e_R` with [`fit_from_accumulator`]. Returns
 /// `(matched_count, model)`.
-pub fn fit_via_bitset<E: ExampleSet>(
+pub(crate) fn fit_via_bitset<E: ExampleSet>(
     matched: &MatchBitset,
     data: &E,
     opts: RegressionOptions,

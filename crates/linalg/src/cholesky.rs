@@ -17,7 +17,7 @@ const RELATIVE_DIAG_TOL: f64 = 1e-14;
 
 /// Result of `A = L * Lᵀ` for a symmetric positive-definite `A`.
 #[derive(Debug, Clone)]
-pub struct CholeskyDecomposition {
+pub(crate) struct CholeskyDecomposition {
     /// Lower-triangular factor `L` (entries above the diagonal are zero).
     l: Matrix,
 }
@@ -33,7 +33,7 @@ impl CholeskyDecomposition {
     /// * [`LinalgError::NonFinite`] when `a` contains NaN/inf,
     /// * [`LinalgError::Singular`] when a diagonal pivot is not (numerically)
     ///   positive — `a` is not positive definite.
-    pub fn new(a: &Matrix) -> Result<Self, LinalgError> {
+    pub(crate) fn new(a: &Matrix) -> Result<Self, LinalgError> {
         let (n, m) = a.shape();
         if n != m {
             return Err(LinalgError::ShapeMismatch {
@@ -87,7 +87,7 @@ impl CholeskyDecomposition {
     }
 
     /// Order of the factorized matrix.
-    pub fn order(&self) -> usize {
+    pub(crate) fn order(&self) -> usize {
         self.l.rows()
     }
 
@@ -96,7 +96,7 @@ impl CholeskyDecomposition {
     ///
     /// # Errors
     /// Returns [`LinalgError::ShapeMismatch`] when `b.len() != order`.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    pub(crate) fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
         let n = self.order();
         if b.len() != n {
             return Err(LinalgError::ShapeMismatch {

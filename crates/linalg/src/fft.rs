@@ -15,7 +15,7 @@ use crate::error::LinalgError;
 /// A complex number as a `(re, im)` pair — enough surface for an FFT without
 /// pulling in a complex-arithmetic dependency.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Complex {
+pub(crate) struct Complex {
     /// Real part.
     pub re: f64,
     /// Imaginary part.
@@ -24,13 +24,13 @@ pub struct Complex {
 
 impl Complex {
     /// Construct from parts.
-    pub fn new(re: f64, im: f64) -> Complex {
+    pub(crate) fn new(re: f64, im: f64) -> Complex {
         Complex { re, im }
     }
 
     /// Squared magnitude.
     #[inline]
-    pub fn norm_sq(self) -> f64 {
+    pub(crate) fn norm_sq(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 }
@@ -72,7 +72,7 @@ impl std::ops::Sub for Complex {
 }
 
 /// Smallest power of two `>= n` (and `>= 1`).
-pub fn next_power_of_two(n: usize) -> usize {
+pub(crate) fn next_power_of_two(n: usize) -> usize {
     n.max(1).next_power_of_two()
 }
 
@@ -82,7 +82,7 @@ pub fn next_power_of_two(n: usize) -> usize {
 /// # Errors
 /// [`LinalgError::ShapeMismatch`] when the length is not a power of two,
 /// [`LinalgError::Empty`] for empty input.
-pub fn fft_in_place(data: &mut [Complex], inverse: bool) -> Result<(), LinalgError> {
+pub(crate) fn fft_in_place(data: &mut [Complex], inverse: bool) -> Result<(), LinalgError> {
     let n = data.len();
     if n == 0 {
         return Err(LinalgError::Empty);
@@ -144,7 +144,7 @@ pub fn fft_in_place(data: &mut [Complex], inverse: bool) -> Result<(), LinalgErr
 /// # Errors
 /// [`LinalgError::Empty`] for empty input, [`LinalgError::NonFinite`] for
 /// NaN/inf samples.
-pub fn fft_real(signal: &[f64]) -> Result<Vec<Complex>, LinalgError> {
+pub(crate) fn fft_real(signal: &[f64]) -> Result<Vec<Complex>, LinalgError> {
     if signal.is_empty() {
         return Err(LinalgError::Empty);
     }
@@ -178,7 +178,8 @@ pub struct SpectralPeak {
 /// where `frequencies[k] = k / n_padded` cycles per sample.
 ///
 /// # Errors
-/// See [`fft_real`].
+/// [`LinalgError::Empty`] for empty input, [`LinalgError::NonFinite`] for
+/// NaN/inf samples.
 pub fn periodogram(signal: &[f64]) -> Result<Vec<SpectralPeak>, LinalgError> {
     let mean = signal.iter().sum::<f64>() / signal.len().max(1) as f64;
     let centered: Vec<f64> = signal.iter().map(|&x| x - mean).collect();

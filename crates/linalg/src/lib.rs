@@ -8,7 +8,7 @@
 //! * [`Matrix`] — a row-major dense matrix,
 //! * [`regression`] — the one least-squares solver: the streaming
 //!   [`regression::NormalEqAccumulator`] builds the ridge normal equations
-//!   and solves them by [`cholesky`], falling back to pivoted [`lu`],
+//!   and solves them by Cholesky, falling back to pivoted LU,
 //! * [`stats`] — summary statistics used by generators, initializers and
 //!   metrics (mean, variance, quantiles, autocorrelation, histograms),
 //! * [`fft`] — the real FFT behind the spectral validation of the series.
@@ -35,10 +35,10 @@
 // clearly than clippy's zip/enumerate rewrites.
 #![allow(clippy::needless_range_loop)]
 
-pub mod cholesky;
+mod cholesky;
 pub mod error;
 pub mod fft;
-pub mod lu;
+mod lu;
 pub mod matrix;
 pub mod regression;
 pub mod stats;

@@ -12,7 +12,7 @@ use crate::matrix::Matrix;
 
 /// Result of `P * A = L * U` with partial (row) pivoting.
 #[derive(Debug, Clone)]
-pub struct LuDecomposition {
+pub(crate) struct LuDecomposition {
     /// Combined storage: strictly-lower triangle holds `L` (unit diagonal
     /// implied), upper triangle holds `U`.
     lu: Matrix,
@@ -32,7 +32,7 @@ impl LuDecomposition {
     /// * [`LinalgError::Empty`] for a 0x0 matrix,
     /// * [`LinalgError::NonFinite`] when `a` contains NaN/inf,
     /// * [`LinalgError::Singular`] when a pivot is (numerically) zero.
-    pub fn new(a: &Matrix) -> Result<Self, LinalgError> {
+    pub(crate) fn new(a: &Matrix) -> Result<Self, LinalgError> {
         let (n, m) = a.shape();
         if n != m {
             return Err(LinalgError::ShapeMismatch {
@@ -95,7 +95,7 @@ impl LuDecomposition {
     }
 
     /// Order of the factorized matrix.
-    pub fn order(&self) -> usize {
+    pub(crate) fn order(&self) -> usize {
         self.lu.rows()
     }
 
@@ -103,7 +103,7 @@ impl LuDecomposition {
     ///
     /// # Errors
     /// Returns [`LinalgError::ShapeMismatch`] when `b.len() != order`.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    pub(crate) fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
         let n = self.order();
         if b.len() != n {
             return Err(LinalgError::ShapeMismatch {

@@ -117,8 +117,8 @@ impl MackeyGlass {
     /// The paper's full dataset: 5000 samples with the first 3500 discarded
     /// as initialization transients, leaving samples 3500..5000 (training
     /// `[3500, 4500)`, test `[4500, 5000)` — indices into the *returned*
-    /// series are 0..1500 after the discard, so use
-    /// [`crate::split::split_ranges`] with `(0, 1000)` and `(1000, 1500)`).
+    /// series are 0..1500 after the discard, so split with
+    /// [`crate::split::split_at`] at 1000).
     pub fn paper_series(&self) -> TimeSeries {
         let full = self.generate(5000);
         full.discard_prefix(3500)

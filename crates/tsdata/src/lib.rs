@@ -37,7 +37,6 @@ pub mod normalize;
 pub mod series;
 pub mod spectrum;
 pub mod split;
-pub mod transform;
 pub mod window;
 
 pub use error::DataError;

@@ -1,22 +1,11 @@
 //! Chronological train/validation splits.
 //!
 //! Time series must be split in order — shuffling would leak future values
-//! into training. These helpers produce `(train, validation)` views matching
-//! each experiment's setup (Venice: 45 000 / 10 000; Mackey-Glass: samples
+//! into training. [`split_at`] produces the `(train, validation)` views each
+//! experiment's setup needs (Venice: 45 000 / 10 000; Mackey-Glass: samples
 //! `[3500, 4500)` / `[4500, 5000)`; sunspots: by calendar date).
 
 use crate::error::DataError;
-
-/// A chronological split of a slice into `(train, validation)` parts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitIndices {
-    /// Training part covers `[0, train_end)`.
-    pub train_end: usize,
-    /// Validation part covers `[valid_start, valid_end)`.
-    pub valid_start: usize,
-    /// End of the validation part (exclusive).
-    pub valid_end: usize,
-}
 
 /// Split at an absolute index: train is `[0, at)`, validation `[at, len)`.
 ///
@@ -30,109 +19,6 @@ pub fn split_at(values: &[f64], at: usize) -> Result<(&[f64], &[f64]), DataError
         )));
     }
     Ok(values.split_at(at))
-}
-
-/// Split by fraction: train gets `floor(len * fraction)` points.
-///
-/// # Errors
-/// [`DataError::InvalidParameter`] when the fraction is outside `(0, 1)` or
-/// either side would be empty.
-pub fn split_fraction(values: &[f64], fraction: f64) -> Result<(&[f64], &[f64]), DataError> {
-    if !(0.0..=1.0).contains(&fraction) || fraction == 0.0 || fraction == 1.0 {
-        return Err(DataError::InvalidParameter(format!(
-            "train fraction {fraction} must be strictly between 0 and 1"
-        )));
-    }
-    let at = (values.len() as f64 * fraction).floor() as usize;
-    split_at(values, at)
-}
-
-/// Split with an explicit gap between train and validation (used for the
-/// sunspot experiment, where training ends December 1919 and validation
-/// starts January 1929).
-///
-/// # Errors
-/// [`DataError::InvalidParameter`] when the ranges are empty or out of order.
-pub fn split_with_gap(
-    values: &[f64],
-    train_end: usize,
-    valid_start: usize,
-) -> Result<(&[f64], &[f64]), DataError> {
-    if train_end == 0 || valid_start < train_end || valid_start >= values.len() {
-        return Err(DataError::InvalidParameter(format!(
-            "gap split (train_end={train_end}, valid_start={valid_start}) invalid for len {}",
-            values.len()
-        )));
-    }
-    Ok((&values[..train_end], &values[valid_start..]))
-}
-
-/// Explicit index ranges: train `[train.0, train.1)`, valid `[valid.0, valid.1)`.
-/// Matches the Mackey-Glass setup where both ranges are absolute sample times.
-///
-/// # Errors
-/// [`DataError::InvalidParameter`] when a range is empty, out of bounds, or
-/// validation starts before training ends.
-pub fn split_ranges(
-    values: &[f64],
-    train: (usize, usize),
-    valid: (usize, usize),
-) -> Result<(&[f64], &[f64]), DataError> {
-    let ok =
-        train.0 < train.1 && valid.0 < valid.1 && train.1 <= valid.0 && valid.1 <= values.len();
-    if !ok {
-        return Err(DataError::InvalidParameter(format!(
-            "ranges train={train:?} valid={valid:?} invalid for len {}",
-            values.len()
-        )));
-    }
-    Ok((&values[train.0..train.1], &values[valid.0..valid.1]))
-}
-
-/// One fold of a rolling-origin evaluation: train on `[0, train_end)`,
-/// validate on `[train_end, valid_end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RollingFold {
-    /// End of the training span (exclusive).
-    pub train_end: usize,
-    /// End of the validation span (exclusive).
-    pub valid_end: usize,
-}
-
-/// Rolling-origin ("walk-forward") evaluation folds: the canonical way to
-/// evaluate a forecaster without leaking the future. The first fold trains
-/// on `initial` points and validates on the next `step`; each later fold
-/// grows the training span by `step`.
-///
-/// # Errors
-/// [`DataError::InvalidParameter`] when the parameters don't produce at
-/// least one fold.
-pub fn rolling_origin(
-    n: usize,
-    initial: usize,
-    step: usize,
-) -> Result<Vec<RollingFold>, DataError> {
-    if initial == 0 || step == 0 {
-        return Err(DataError::InvalidParameter(
-            "rolling origin needs initial >= 1 and step >= 1".into(),
-        ));
-    }
-    if initial + step > n {
-        return Err(DataError::InvalidParameter(format!(
-            "series of {n} points cannot host one fold of initial {initial} + step {step}"
-        )));
-    }
-    let mut folds = Vec::new();
-    let mut train_end = initial;
-    while train_end < n {
-        let valid_end = (train_end + step).min(n);
-        folds.push(RollingFold {
-            train_end,
-            valid_end,
-        });
-        train_end = valid_end;
-    }
-    Ok(folds)
 }
 
 #[cfg(test)]
@@ -162,109 +48,7 @@ mod tests {
         assert!(split_at(&v, 6).is_err());
     }
 
-    #[test]
-    fn split_fraction_basic() {
-        let v = ramp(10);
-        let (tr, va) = split_fraction(&v, 0.8).unwrap();
-        assert_eq!(tr.len(), 8);
-        assert_eq!(va.len(), 2);
-        assert!(split_fraction(&v, 0.0).is_err());
-        assert!(split_fraction(&v, 1.0).is_err());
-        assert!(split_fraction(&v, -0.5).is_err());
-        assert!(split_fraction(&v, 1.5).is_err());
-    }
-
-    #[test]
-    fn split_with_gap_excludes_middle() {
-        let v = ramp(10);
-        let (tr, va) = split_with_gap(&v, 4, 7).unwrap();
-        assert_eq!(tr, &[0.0, 1.0, 2.0, 3.0]);
-        assert_eq!(va, &[7.0, 8.0, 9.0]);
-        // Degenerate gap (contiguous) also works.
-        let (tr2, va2) = split_with_gap(&v, 5, 5).unwrap();
-        assert_eq!(tr2.len(), 5);
-        assert_eq!(va2.len(), 5);
-        assert!(split_with_gap(&v, 0, 3).is_err());
-        assert!(split_with_gap(&v, 5, 4).is_err());
-        assert!(split_with_gap(&v, 5, 10).is_err());
-    }
-
-    #[test]
-    fn split_ranges_mackey_glass_style() {
-        let v = ramp(5000);
-        let (tr, va) = split_ranges(&v, (3500, 4500), (4500, 5000)).unwrap();
-        assert_eq!(tr.len(), 1000);
-        assert_eq!(va.len(), 500);
-        assert_eq!(tr[0], 3500.0);
-        assert_eq!(va[0], 4500.0);
-        assert!(split_ranges(&v, (100, 100), (200, 300)).is_err());
-        assert!(split_ranges(&v, (0, 300), (200, 400)).is_err()); // overlap
-        assert!(split_ranges(&v, (0, 100), (200, 6000)).is_err());
-    }
-
-    #[test]
-    fn rolling_origin_folds_cover_tail_exactly_once() {
-        let folds = rolling_origin(100, 40, 20).unwrap();
-        assert_eq!(
-            folds,
-            vec![
-                RollingFold {
-                    train_end: 40,
-                    valid_end: 60
-                },
-                RollingFold {
-                    train_end: 60,
-                    valid_end: 80
-                },
-                RollingFold {
-                    train_end: 80,
-                    valid_end: 100
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn rolling_origin_partial_last_fold() {
-        let folds = rolling_origin(95, 40, 20).unwrap();
-        assert_eq!(folds.last().unwrap().valid_end, 95);
-        assert_eq!(folds.len(), 3);
-    }
-
-    #[test]
-    fn rolling_origin_validation() {
-        assert!(rolling_origin(10, 0, 5).is_err());
-        assert!(rolling_origin(10, 5, 0).is_err());
-        assert!(rolling_origin(10, 8, 5).is_err());
-        assert_eq!(rolling_origin(10, 5, 5).unwrap().len(), 1);
-    }
-
     proptest! {
-        #[test]
-        fn rolling_origin_invariants(
-            n in 10usize..300,
-            initial in 1usize..100,
-            step in 1usize..50,
-        ) {
-            match rolling_origin(n, initial, step) {
-                Err(_) => prop_assert!(initial + step > n),
-                Ok(folds) => {
-                    prop_assert!(!folds.is_empty());
-                    // Chronological, non-overlapping validation spans that
-                    // start right after their training span.
-                    prop_assert_eq!(folds[0].train_end, initial);
-                    for w in folds.windows(2) {
-                        prop_assert_eq!(w[1].train_end, w[0].valid_end);
-                    }
-                    for f in &folds {
-                        prop_assert!(f.train_end < f.valid_end);
-                        prop_assert!(f.valid_end <= n);
-                    }
-                    prop_assert_eq!(folds.last().unwrap().valid_end, n);
-                }
-            }
-        }
-
         #[test]
         fn split_at_preserves_all_points(n in 2usize..256, frac in 0.01..0.99f64) {
             let v = ramp(n);
