@@ -16,6 +16,9 @@
 //!   status and is exercised by at least one integration test.
 //! * **cfg-hygiene** — fault-injection symbols stay behind the
 //!   `fault-injection` feature gate.
+//! * **public-surface** — every `pub` item in a crate's library is named by
+//!   a caller outside that library, or appears in the signature of an item
+//!   that is.
 //! * **allow-syntax** — every inline `// audit: allow(...)` names known
 //!   rules and carries a justification.
 //!
@@ -48,12 +51,16 @@ use std::path::{Path, PathBuf};
 
 /// Load every auditable source file under `root`: `crates/*/src/**/*.rs`
 /// and `crates/*/tests/**/*.rs`, with paths reported relative to `root`.
+/// The reference files `crates/*/benches`, root `src`, `tests` and
+/// `examples`, and `evobench/src` go to [`Workspace::refs`]: they are read
+/// only as callers of the crates' public items.
 ///
 /// The auditor excludes itself: its fixtures and rule tests are wall-to-wall
 /// deliberate violations.
 pub fn load_workspace(root: &Path) -> io::Result<Workspace> {
     let crates_dir = root.join("crates");
     let mut files = Vec::new();
+    let mut refs = Vec::new();
     let mut crate_dirs: Vec<PathBuf> = fs::read_dir(&crates_dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.is_dir())
@@ -69,9 +76,19 @@ pub fn load_workspace(root: &Path) -> io::Result<Workspace> {
                 collect_rs_files(root, &dir, &mut files)?;
             }
         }
+        let benches = crate_dir.join("benches");
+        if benches.is_dir() {
+            collect_rs_files(root, &benches, &mut refs)?;
+        }
+    }
+    for sub in ["src", "tests", "examples", "evobench/src"] {
+        let dir = root.join(sub);
+        if dir.is_dir() {
+            collect_rs_files(root, &dir, &mut refs)?;
+        }
     }
     files.sort_by(|a, b| a.path.cmp(&b.path));
-    Ok(Workspace { files })
+    Ok(Workspace { files, refs })
 }
 
 /// Recursively gather `.rs` files under `dir` into `files`.
@@ -105,6 +122,7 @@ pub fn run_rules(ws: &Workspace, selected: &[RuleId]) -> Vec<Diagnostic> {
             RuleId::LockDiscipline => rules::locks::check(ws),
             RuleId::ErrorTaxonomy => rules::taxonomy::check(ws),
             RuleId::CfgHygiene => rules::cfg_hygiene::check(ws),
+            RuleId::PublicSurface => rules::public_surface::check(ws),
             RuleId::AllowSyntax => rules::check_allow_syntax(ws),
         };
         out.extend(raw.into_iter().filter(|d| !is_suppressed(ws, d)));
@@ -154,6 +172,7 @@ mod tests {
                 .iter()
                 .map(|(p, s)| SourceFile::parse(PathBuf::from(p), s))
                 .collect(),
+            refs: Vec::new(),
         }
     }
 

@@ -129,6 +129,7 @@ mod tests {
                 .iter()
                 .map(|(p, s)| SourceFile::parse(PathBuf::from(p), s))
                 .collect(),
+            ..Default::default()
         }
     }
 

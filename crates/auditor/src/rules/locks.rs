@@ -223,6 +223,7 @@ mod tests {
                 PathBuf::from("crates/serve/src/registry.rs"),
                 src,
             )],
+            ..Default::default()
         };
         check(&w)
     }
@@ -297,6 +298,7 @@ mod tests {
                 PathBuf::from("crates/core/src/engine.rs"),
                 "fn f() { let g = m.lock(); tx.send(1); }",
             )],
+            ..Default::default()
         };
         assert!(check(&w).is_empty());
     }

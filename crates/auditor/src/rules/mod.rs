@@ -6,6 +6,7 @@ pub mod cfg_hygiene;
 pub mod determinism;
 pub mod locks;
 pub mod panics;
+pub mod public_surface;
 pub mod taxonomy;
 
 use crate::diag::Diagnostic;
@@ -27,17 +28,21 @@ pub enum RuleId {
     ErrorTaxonomy,
     /// `fault-injection` symbols must stay behind the feature gate.
     CfgHygiene,
+    /// Every `pub` item is named by a caller outside its crate, or appears
+    /// in the signature of an item that is.
+    PublicSurface,
     /// Allowlist directives must name known rules and carry a justification.
     AllowSyntax,
 }
 
 /// All rules, in reporting order.
-pub const ALL_RULES: [RuleId; 6] = [
+pub const ALL_RULES: [RuleId; 7] = [
     RuleId::Determinism,
     RuleId::PanicFreedom,
     RuleId::LockDiscipline,
     RuleId::ErrorTaxonomy,
     RuleId::CfgHygiene,
+    RuleId::PublicSurface,
     RuleId::AllowSyntax,
 ];
 
@@ -50,6 +55,7 @@ impl RuleId {
             RuleId::LockDiscipline => "lock-discipline",
             RuleId::ErrorTaxonomy => "error-taxonomy",
             RuleId::CfgHygiene => "cfg-hygiene",
+            RuleId::PublicSurface => "public-surface",
             RuleId::AllowSyntax => "allow-syntax",
         }
     }
@@ -65,6 +71,10 @@ impl RuleId {
 pub struct Workspace {
     /// Every parsed source file.
     pub files: Vec<SourceFile>,
+    /// Files that are read only as callers of the crates' public items
+    /// (`crates/*/benches`, the root `src`, `tests` and `examples`, and
+    /// `evobench/src`); no rule audits their contents.
+    pub refs: Vec<SourceFile>,
 }
 
 impl Workspace {

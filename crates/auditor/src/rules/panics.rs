@@ -116,6 +116,7 @@ mod tests {
     fn ws(path: &str, src: &str) -> Workspace {
         Workspace {
             files: vec![SourceFile::parse(PathBuf::from(path), src)],
+            ..Default::default()
         }
     }
 

@@ -200,6 +200,7 @@ mod tests {
                 SourceFile::parse(PathBuf::from("crates/serve/src/protocol.rs"), protocol),
                 SourceFile::parse(PathBuf::from("crates/serve/tests/protocol.rs"), test_src),
             ],
+            ..Default::default()
         }
     }
 
@@ -277,6 +278,7 @@ mod tests {
                 PathBuf::from("crates/core/src/engine.rs"),
                 "fn f() {}",
             )],
+            ..Default::default()
         };
         assert!(check(&w).is_empty());
     }

@@ -4,7 +4,8 @@
 //! contract holds.
 
 use evoforecast_auditor::diag::Diagnostic;
-use evoforecast_auditor::run_full_audit;
+use evoforecast_auditor::rules::{public_surface, RuleId};
+use evoforecast_auditor::{load_workspace, run_audit, run_full_audit};
 use serde::value::{find, Value};
 use std::path::PathBuf;
 use std::process::Command;
@@ -132,7 +133,7 @@ fn cli_exit_codes_and_json_report() {
         other => panic!("diagnostics must be a non-empty array, got {other:?}"),
     }
     match find(&report, "rules") {
-        Some(Value::Array(rules)) => assert_eq!(rules.len(), 6),
+        Some(Value::Array(rules)) => assert_eq!(rules.len(), 7),
         other => panic!("rules must be an array, got {other:?}"),
     }
 
@@ -184,4 +185,71 @@ fn single_rule_selection_filters_findings() {
             Some("lock-discipline")
         );
     }
+}
+
+fn surface_findings() -> Vec<Diagnostic> {
+    run_audit(&fixture("surface"), &[RuleId::PublicSurface])
+        .expect("surface fixture loads")
+        .diagnostics
+}
+
+/// Is the `pub` item called `name` among the findings?
+fn flags(diags: &[Diagnostic], name: &str) -> bool {
+    diags
+        .iter()
+        .any(|d| d.rule == "public-surface" && d.message.contains(&format!(" {name}`")))
+}
+
+#[test]
+fn public_surface_flags_items_named_nowhere_outside_their_crate() {
+    let diags = surface_findings();
+    assert!(
+        diags.iter().any(|d| d.file == "crates/alpha/src/lib.rs"
+            && d.line == 3
+            && d.message.contains("`pub fn orphan`")),
+        "{diags:?}"
+    );
+    // Called only by its own crate: still flagged, as a pub(crate) candidate.
+    assert!(flags(&diags, "internal_only"), "{diags:?}");
+}
+
+#[test]
+fn public_surface_counts_benchmark_tests_main_and_other_crates_as_callers() {
+    let diags = surface_findings();
+    for name in [
+        "used_by_benchmark",
+        "used_by_tests",
+        "used_by_main",
+        "used_by_beta",
+    ] {
+        assert!(!flags(&diags, name), "{name} flagged: {diags:?}");
+    }
+}
+
+#[test]
+fn public_surface_keeps_names_in_a_live_signature() {
+    let diags = surface_findings();
+    // `Reason` (parameter) and `Outcome` (return type) of a live fn, and
+    // `Kind` through their `pub` fields, transitively.
+    for name in ["Reason", "Outcome", "Kind"] {
+        assert!(!flags(&diags, name), "{name} flagged: {diags:?}");
+    }
+    // Named only in a private field: not part of the signature.
+    assert!(flags(&diags, "Hidden"), "{diags:?}");
+}
+
+#[test]
+fn public_surface_ignores_comments_and_strings() {
+    assert!(flags(&surface_findings(), "only_in_prose"));
+}
+
+#[test]
+fn public_surface_allow_with_reason_suppresses_and_test_items_are_exempt() {
+    let ws = load_workspace(&fixture("surface")).expect("surface fixture loads");
+    let raw = public_surface::check(&ws);
+    assert!(flags(&raw, "allowed"), "the raw rule reports it: {raw:?}");
+    let diags = surface_findings();
+    assert!(!flags(&diags, "allowed"), "{diags:?}");
+    assert!(!flags(&raw, "test_helper"), "{raw:?}");
+    assert_eq!(diags.len(), 4, "{diags:?}");
 }

@@ -18,7 +18,7 @@ use evoforecast_core::predict::RuleSetPredictor;
 use evoforecast_core::replacement::ReplacementStrategy;
 use evoforecast_linalg::stats;
 use evoforecast_tsdata::gen::mackey_glass::MackeyGlass;
-use evoforecast_tsdata::normalize::{MinMaxScaler, Scaler};
+use evoforecast_tsdata::normalize::MinMaxScaler;
 use evoforecast_tsdata::window::WindowSpec;
 
 const D: usize = 4;

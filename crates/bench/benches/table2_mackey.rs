@@ -16,7 +16,7 @@ use evoforecast_metrics::EvaluationReport;
 use evoforecast_neural::mran::{Mran, MranConfig};
 use evoforecast_neural::ran::{Ran, RanConfig};
 use evoforecast_tsdata::gen::mackey_glass::MackeyGlass;
-use evoforecast_tsdata::normalize::{MinMaxScaler, Scaler};
+use evoforecast_tsdata::normalize::MinMaxScaler;
 use evoforecast_tsdata::window::WindowSpec;
 
 /// Classic Mackey-Glass embedding: 4 taps spaced 6 apart —

@@ -18,7 +18,7 @@ use evoforecast_metrics::EvaluationReport;
 use evoforecast_neural::elman::{Elman, ElmanConfig};
 use evoforecast_neural::mlp::{Mlp, MlpConfig};
 use evoforecast_tsdata::gen::sunspot::SunspotGenerator;
-use evoforecast_tsdata::normalize::{MinMaxScaler, Scaler};
+use evoforecast_tsdata::normalize::MinMaxScaler;
 use evoforecast_tsdata::window::WindowSpec;
 
 const D: usize = 24;

@@ -6,7 +6,7 @@ use evoforecast_core::supervisor::{Supervisor, SupervisorReport};
 use evoforecast_metrics::PairedErrors;
 use evoforecast_neural::mlp::{Mlp, MlpConfig};
 use evoforecast_neural::Forecaster;
-use evoforecast_tsdata::normalize::{MinMaxScaler, Scaler};
+use evoforecast_tsdata::normalize::MinMaxScaler;
 use evoforecast_tsdata::window::WindowSpec;
 
 /// Parameters of one rule-system training run.

@@ -43,7 +43,7 @@ pub fn comparison_row(
 
 /// Directory where bench targets drop JSON artifacts
 /// (`target/bench-results/`). Created on demand.
-pub fn results_dir() -> PathBuf {
+pub(crate) fn results_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/bench-results");
     std::fs::create_dir_all(&dir).ok();
     dir

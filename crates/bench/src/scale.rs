@@ -27,7 +27,7 @@ pub struct Scale {
 
 impl Scale {
     /// Laptop-sized defaults.
-    pub fn quick() -> Scale {
+    pub(crate) fn quick() -> Scale {
         Scale {
             venice_train: 6_000,
             venice_valid: 2_000,

@@ -56,7 +56,7 @@ impl Args {
     ///
     /// # Errors
     /// [`CliError::Usage`] when absent.
-    pub fn required(&self, key: &str) -> Result<&str, CliError> {
+    pub(crate) fn required(&self, key: &str) -> Result<&str, CliError> {
         self.get(key)
             .ok_or_else(|| CliError::Usage(format!("missing required flag --{key}")))
     }
@@ -65,7 +65,11 @@ impl Args {
     ///
     /// # Errors
     /// [`CliError::Usage`] when present but unparsable.
-    pub fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
+    pub(crate) fn parse_or<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        default: T,
+    ) -> Result<T, CliError> {
         match self.get(key) {
             None => Ok(default),
             Some(raw) => raw
@@ -78,7 +82,7 @@ impl Args {
     ///
     /// # Errors
     /// [`CliError::Usage`] when absent or unparsable.
-    pub fn parse_required<T: std::str::FromStr>(&self, key: &str) -> Result<T, CliError> {
+    pub(crate) fn parse_required<T: std::str::FromStr>(&self, key: &str) -> Result<T, CliError> {
         let raw = self.required(key)?;
         raw.parse()
             .map_err(|_| CliError::Usage(format!("flag --{key} has unparsable value {raw:?}")))
@@ -88,7 +92,7 @@ impl Args {
     ///
     /// # Errors
     /// [`CliError::Usage`] for a flag `command` does not accept.
-    pub fn reject_unknown(&self, command: &str, accepted: &[&str]) -> Result<(), CliError> {
+    pub(crate) fn reject_unknown(&self, command: &str, accepted: &[&str]) -> Result<(), CliError> {
         match self.flags.keys().find(|k| !accepted.contains(&k.as_str())) {
             Some(key) => Err(CliError::Usage(format!(
                 "`{command}` does not accept flag --{key}; try `evoforecast help`"

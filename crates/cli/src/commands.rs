@@ -62,7 +62,7 @@ fn classify(e: EvoError) -> CliError {
 ///
 /// # Errors
 /// Usage errors for unknown series names; I/O errors writing the file.
-pub fn generate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn generate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let kind = args.required("series")?;
     let n: usize = args.parse_required("n")?;
     if n == 0 {
@@ -106,7 +106,7 @@ pub fn generate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 /// # Errors
 /// Usage/I/O errors; config errors for invalid parameters; runtime errors
 /// from training.
-pub fn train(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn train(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     train_impl(args, out, false)
 }
 
@@ -118,7 +118,7 @@ pub fn train(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 ///
 /// # Errors
 /// Usage/I/O errors; runtime errors for corrupt or mismatched checkpoints.
-pub fn resume(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn resume(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     train_impl(args, out, true)
 }
 
@@ -207,7 +207,7 @@ fn train_impl(args: &Args, out: &mut dyn Write, resuming: bool) -> Result<(), Cl
 ///
 /// # Errors
 /// Usage/I/O errors; runtime errors from windowing.
-pub fn evaluate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn evaluate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let model = TrainedModel::load_json_file(args.required("model")?)?;
     let series = ts_io::read_series_file(args.required("data")?).map_err(runtime)?;
     let from: usize = args.parse_or("from", 0)?;
@@ -240,7 +240,7 @@ pub fn evaluate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 ///
 /// # Errors
 /// Usage/I/O errors; runtime errors when the series is too short.
-pub fn predict(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn predict(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let model = TrainedModel::load_json_file(args.required("model")?)?;
     let series = ts_io::read_series_file(args.required("data")?).map_err(runtime)?;
     match model.predict_next(series.values()).map_err(runtime)? {
@@ -265,7 +265,7 @@ pub fn predict(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 ///
 /// # Errors
 /// Usage/I/O errors; usage error for non-iterable specs.
-pub fn freerun(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn freerun(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let model = TrainedModel::load_json_file(args.required("model")?)?;
     let series = ts_io::read_series_file(args.required("data")?).map_err(runtime)?;
     let steps: usize = args.parse_required("steps")?;
@@ -305,7 +305,7 @@ pub fn freerun(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 ///
 /// # Errors
 /// Usage/I/O errors; runtime errors from the FFT.
-pub fn spectrum(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn spectrum(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let series = ts_io::read_series_file(args.required("data")?).map_err(runtime)?;
     let top: usize = args.parse_or("top", 5)?;
     if top == 0 {
@@ -337,7 +337,7 @@ pub fn spectrum(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 ///
 /// # Errors
 /// Usage/I/O errors; runtime errors from training.
-pub fn experiment(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn experiment(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let path = args.required("config")?;
     let text = std::fs::read_to_string(path)?;
     let spec = crate::experiment::ExperimentSpec::from_json(&text)?;
@@ -364,7 +364,7 @@ pub fn experiment(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 ///
 /// # Errors
 /// Usage/I/O errors; runtime errors from windowing.
-pub fn analyze(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn analyze(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let model = TrainedModel::load_json_file(args.required("model")?)?;
     let series = ts_io::read_series_file(args.required("data")?).map_err(runtime)?;
     let bins: usize = args.parse_or("bins", 40)?;
@@ -421,17 +421,18 @@ pub fn analyze(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 /// # Errors
 /// Usage errors for bad flags, I/O errors loading the artifact,
 /// [`CliError::Config`] when the artifact is internally inconsistent.
-pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let server = serve_start(args, out)?;
     server.join();
     Ok(())
 }
 
-/// Start the forecast server without blocking — the testable core of
-/// [`serve`].
+/// Start the forecast server without blocking — the testable core of the
+/// `serve` command.
 ///
 /// # Errors
-/// See [`serve`].
+/// Usage errors for bad flags, I/O errors loading the artifact,
+/// [`CliError::Config`] when the artifact is internally inconsistent.
 pub fn serve_start(
     args: &Args,
     out: &mut dyn Write,

@@ -16,7 +16,7 @@ use evoforecast_tsdata::gen::mackey_glass::MackeyGlass;
 use evoforecast_tsdata::gen::sunspot::SunspotGenerator;
 use evoforecast_tsdata::gen::venice::VeniceTide;
 use evoforecast_tsdata::gen::waves;
-use evoforecast_tsdata::normalize::{MinMaxScaler, Scaler};
+use evoforecast_tsdata::normalize::MinMaxScaler;
 use evoforecast_tsdata::window::WindowSpec;
 use evoforecast_tsdata::TimeSeries;
 use serde::{Deserialize, Serialize};
@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// Where the series comes from.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "kebab-case")]
-pub enum SeriesSpec {
+pub(crate) enum SeriesSpec {
     /// A built-in generator.
     Generated {
         /// Generator name (same set as `generate --series`).
@@ -45,7 +45,7 @@ pub enum SeriesSpec {
 /// Normalization applied before learning (fitted on the training part).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 #[serde(rename_all = "kebab-case")]
-pub enum NormalizeSpec {
+pub(crate) enum NormalizeSpec {
     /// Leave the series in its original units.
     #[default]
     None,
@@ -55,7 +55,7 @@ pub enum NormalizeSpec {
 
 /// Engine knobs the spec can override.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EngineSpec {
+pub(crate) struct EngineSpec {
     /// Population size.
     pub population: usize,
     /// Generations per execution.
@@ -82,7 +82,7 @@ impl Default for EngineSpec {
 
 /// A complete, serializable experiment description.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ExperimentSpec {
+pub(crate) struct ExperimentSpec {
     /// Human-readable experiment name.
     pub name: String,
     /// Data source.
@@ -110,7 +110,7 @@ fn default_spacing() -> usize {
 
 /// The run's outcome: the evaluation report plus run provenance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ExperimentResult {
+pub(crate) struct ExperimentResult {
     /// Name from the spec.
     pub name: String,
     /// Rules in the final system.
@@ -128,7 +128,7 @@ impl ExperimentSpec {
     ///
     /// # Errors
     /// [`CliError::Usage`] on malformed JSON.
-    pub fn from_json(text: &str) -> Result<ExperimentSpec, CliError> {
+    pub(crate) fn from_json(text: &str) -> Result<ExperimentSpec, CliError> {
         serde_json::from_str(text).map_err(|e| CliError::Usage(format!("bad experiment spec: {e}")))
     }
 
@@ -170,7 +170,7 @@ impl ExperimentSpec {
     ///
     /// # Errors
     /// Usage errors for inconsistent specs; runtime errors from training.
-    pub fn run(&self) -> Result<ExperimentResult, CliError> {
+    pub(crate) fn run(&self) -> Result<ExperimentResult, CliError> {
         let series = self.materialize_series()?;
         if self.split_at == 0 || self.split_at >= series.len() {
             return Err(CliError::Usage(format!(

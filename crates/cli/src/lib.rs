@@ -21,7 +21,7 @@
 
 pub mod args;
 pub mod commands;
-pub mod experiment;
+mod experiment;
 
 pub use args::{Args, CliError};
 

@@ -7,8 +7,9 @@
 //! predict, how specialized they are, how much they overlap, and which
 //! value-space zones are left uncovered.
 
+use crate::bitset::MatchBitset;
 use crate::dataset::ExampleSet;
-use crate::predict::RuleSetPredictor;
+use crate::predict::{fold_coverage, RuleSetPredictor};
 use crate::rule::Rule;
 use serde::{Deserialize, Serialize};
 
@@ -81,18 +82,6 @@ impl RuleSetStats {
     }
 }
 
-/// Per-window overlap profile: how many rules fire on each window of a
-/// dataset. Overlap 0 = abstention; high overlap = heavily shared zone.
-pub fn overlap_profile<E: ExampleSet>(predictor: &RuleSetPredictor, data: &E) -> Vec<usize> {
-    (0..data.len())
-        .map(|i| {
-            predictor
-                .predict_detailed(data.features(i))
-                .map_or(0, |d| d.firing_rules)
-        })
-        .collect()
-}
-
 /// A coverage map over the *output* space: the target range is cut into
 /// `bins`, and for each bin we report how many of the dataset's windows with
 /// a target in that bin are covered by at least one rule. Uncovered bins are
@@ -126,16 +115,14 @@ impl CoverageMap {
             hi = hi.max(t);
         }
         let width = ((hi - lo) / bins as f64).max(f64::MIN_POSITIVE);
+        let mut covered = MatchBitset::new(data.len());
+        fold_coverage(&mut covered, predictor.rules(), data);
         let mut out = vec![(0usize, 0usize); bins];
         for i in 0..data.len() {
             let t = data.target(i);
             let b = (((t - lo) / width) as usize).min(bins - 1);
             out[b].0 += 1;
-            let covered = predictor
-                .rules()
-                .iter()
-                .any(|r| r.condition.matches(data.features(i)));
-            if covered {
+            if covered.contains(i) {
                 out[b].1 += 1;
             }
         }
@@ -214,20 +201,6 @@ mod tests {
         assert!((s.mean_interval_width - 6.0).abs() < 1e-12); // (10 + 2) / 2
         assert!((s.mean_expected_error - 0.5).abs() < 1e-12);
         assert!((s.mean_matched - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn overlap_counts_firing_rules() {
-        let vals: Vec<f64> = (0..12).map(|i| i as f64).collect();
-        let ds = WindowSpec::new(2, 1).unwrap().dataset(&vals).unwrap();
-        let p = RuleSetPredictor::new(vec![rule(0.0, 5.0, 1.0), rule(3.0, 8.0, 2.0)]);
-        let profile = overlap_profile(&p, &ds);
-        assert_eq!(profile.len(), ds.len());
-        // Window [0,1]: only first rule (0 <= 0 <= 5). Window [4,5]: both.
-        assert_eq!(profile[0], 1);
-        assert_eq!(profile[4], 2);
-        // Window [9,10]: neither.
-        assert_eq!(profile[9], 0);
     }
 
     #[test]

@@ -26,7 +26,8 @@ impl MatchBitset {
     ///
     /// # Panics
     /// Panics when an index is out of bounds.
-    pub fn from_indices(len: usize, indices: &[usize]) -> MatchBitset {
+    #[cfg(test)]
+    fn from_indices(len: usize, indices: &[usize]) -> MatchBitset {
         let mut set = MatchBitset::new(len);
         for &i in indices {
             set.set(i);
@@ -150,7 +151,7 @@ impl MatchBitset {
     /// `true`. Windows already present are never re-tested — this is the
     /// predictor-side coverage sweep, where each window only needs one
     /// matching rule across the whole rule set.
-    pub fn set_where_unset(&mut self, mut pred: impl FnMut(usize) -> bool) {
+    pub(crate) fn set_where_unset(&mut self, mut pred: impl FnMut(usize) -> bool) {
         for wi in 0..self.words.len() {
             let base = wi * 64;
             let valid = if base + 64 <= self.len {

@@ -462,6 +462,27 @@ mod tests {
     }
 
     #[test]
+    fn load_rejects_an_inverted_gene_and_an_infinite_error() {
+        let path = temp_path("inverted_gene.json");
+        let text = serde_json::to_string(&sample()).unwrap();
+        let gene = serde_json::to_string(&Gene::bounded(0.0, 1.0)).unwrap();
+        let inverted = serde_json::to_string(&Gene::Bounded { lo: 1.0, hi: 0.0 }).unwrap();
+        for (from, to, why) in [
+            (gene.as_str(), inverted.as_str(), "gene 0"),
+            ("\"error\":0.125", "\"error\":1e999", "non-finite"),
+        ] {
+            assert!(text.contains(from), "{from} not in {text}");
+            std::fs::write(&path, text.replace(from, to)).unwrap();
+            let err = EnsembleCheckpoint::load(&path).unwrap_err();
+            assert!(
+                matches!(&err, CheckpointError::Corrupt(m) if m.contains(why)),
+                "{err}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn save_is_atomic_no_tmp_left_behind() {
         let path = temp_path("atomic.json");
         sample().save(&path).unwrap();

@@ -181,11 +181,6 @@ impl CompiledRuleSet {
         self.rule_count == 0
     }
 
-    /// Window length `D` the compiled rules expect.
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
     /// A scratch firing-set bitset sized for this rule set. Allocate once,
     /// reuse across queries via the `*_into` entry points.
     pub fn scratch(&self) -> MatchBitset {
@@ -318,7 +313,6 @@ mod tests {
         let compiled = CompiledRuleSet::compile(&RuleSetPredictor::new(vec![]));
         assert!(compiled.is_empty());
         assert_eq!(compiled.len(), 0);
-        assert_eq!(compiled.dims(), 0);
         // Any window length: an empty set has no `D` to check against.
         let mut scratch = compiled.scratch();
         for window in [&[][..], &[1.0, 2.0][..]] {
@@ -332,7 +326,6 @@ mod tests {
         let compiled =
             CompiledRuleSet::compile(&RuleSetPredictor::new(vec![band(1.0, 3.0, 7.0, 0.1)]));
         assert_eq!(compiled.len(), 1);
-        assert_eq!(compiled.dims(), 1);
         assert_eq!(predict(&compiled, &[1.0]), Some(7.0));
         assert_eq!(predict(&compiled, &[3.0]), Some(7.0));
         assert_eq!(predict(&compiled, &[0.999]), None);

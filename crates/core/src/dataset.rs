@@ -105,8 +105,6 @@ pub struct TabularExamples {
     targets: Vec<f64>,
     /// `columns[p][i] == features.row(i)[p]` — SoA mirror of `features`.
     columns: Vec<Vec<f64>>,
-    /// Per-column `(min, max)`, computed during the SoA build pass.
-    column_ranges: Vec<(f64, f64)>,
     /// Memoized overall feature range, widened when degenerate exactly as
     /// the trait default would widen it.
     range: (f64, f64),
@@ -169,19 +167,12 @@ impl TabularExamples {
             features,
             targets,
             columns,
-            column_ranges,
             range,
         })
     }
 
-    /// Per-column `(min, max)`, memoized at construction — init binning and
-    /// the mutation step sizing reuse these instead of rescanning.
-    pub fn column_ranges(&self) -> &[(f64, f64)] {
-        &self.column_ranges
-    }
-
     /// Min/max of the targets (used to size `EMAX` and initializer bins).
-    pub fn target_range(&self) -> (f64, f64) {
+    pub(crate) fn target_range(&self) -> (f64, f64) {
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         for &t in &self.targets {
@@ -189,11 +180,6 @@ impl TabularExamples {
             hi = hi.max(t);
         }
         (lo, hi)
-    }
-
-    /// Borrow the underlying feature matrix.
-    pub fn feature_matrix(&self) -> &Matrix {
-        &self.features
     }
 
     /// Borrow the targets.
@@ -265,7 +251,7 @@ impl ColumnStore {
 
 /// Columnar single-gene match sweep: set bit `i` of `out` exactly when
 /// `column[i] ∈ [lo, hi]` — the same predicate as
-/// [`crate::rule::Gene::accepts`], evaluated branch-free over one cache-
+/// `Gene::accepts`, evaluated branch-free over one cache-
 /// friendly column instead of striding across rows. `O(N)` compares and
 /// `N/64` word stores; this is the delta path's gene-recompute kernel.
 ///
@@ -342,7 +328,6 @@ mod tests {
         assert_eq!(t.feature_range(), (1.0, 6.0));
         assert_eq!(t.target_range(), (10.0, 30.0));
         assert_eq!(t.targets(), &[10.0, 20.0, 30.0]);
-        assert_eq!(t.feature_matrix().shape(), (3, 2));
     }
 
     #[test]
@@ -359,7 +344,6 @@ mod tests {
         let t = TabularExamples::new(m, vec![0.0, 0.0, 0.0]).unwrap();
         assert_eq!(t.column(0), Some(&[1.0, 3.0, 5.0][..]));
         assert_eq!(t.column(1), Some(&[2.0, 4.0, 6.0][..]));
-        assert_eq!(t.column_ranges(), &[(1.0, 5.0), (2.0, 6.0)]);
 
         let vals: Vec<f64> = (0..12).map(|i| i as f64).collect();
         let ds = WindowSpec::new(3, 1).unwrap().dataset(&vals).unwrap();

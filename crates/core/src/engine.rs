@@ -21,7 +21,7 @@
 //! crowding victim depends only on the offspring's scalar prediction `p`, the
 //! mean matched target, which the match set alone fixes, so it is chosen
 //! before any regression. No fitness exceeds
-//! [`crate::fitness::FitnessParams::upper_bound`] of the match count, since
+//! `FitnessParams::upper_bound` of the match count, since
 //! `e_R ≥ 0`; an offspring whose bound does not strictly beat the victim's
 //! fitness would lose the strict `>` of [`replacement::try_replace`] anyway,
 //! so it is rejected without its Gram, solve or residual pass. The skip is

@@ -57,7 +57,7 @@ impl EvoError {
     /// plausibly succeed. Configuration, data and checkpoint errors are
     /// deterministic — retrying reproduces them — while panics, numeric
     /// failures and empty initializations are seed- or state-dependent.
-    pub fn is_retryable(&self) -> bool {
+    pub(crate) fn is_retryable(&self) -> bool {
         match self {
             EvoError::InvalidConfig(_) | EvoError::Data(_) | EvoError::Checkpoint(_) => false,
             EvoError::Linalg(_) | EvoError::EmptyInitialization => true,

@@ -34,7 +34,7 @@ impl FitnessParams {
 
     /// `EMAX` as a fraction of the training-target range — the natural way
     /// to configure it across series with different units (cm vs. `[0,1]`).
-    pub fn relative(range: f64, fraction: f64) -> FitnessParams {
+    pub(crate) fn relative(range: f64, fraction: f64) -> FitnessParams {
         FitnessParams::new(range * fraction)
     }
 
@@ -56,7 +56,7 @@ impl FitnessParams {
     /// `a = fl(matched · EMAX)`, so `fitness(matched, e) ≤
     /// upper_bound(matched)` for every `e` in `[0, ∞]` and for NaN.
     #[inline]
-    pub fn upper_bound(&self, matched: usize) -> f64 {
+    pub(crate) fn upper_bound(&self, matched: usize) -> f64 {
         if matched > 1 {
             (matched as f64 * self.emax).max(self.f_min)
         } else {

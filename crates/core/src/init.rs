@@ -45,7 +45,7 @@ pub fn initialize<E: ExampleSet, R: Rng>(
 ///
 /// # Panics
 /// Panics when `population_size == 0` (config validation prevents this).
-pub fn binned<E: ExampleSet, R: Rng>(
+pub(crate) fn binned<E: ExampleSet, R: Rng>(
     data: &E,
     population_size: usize,
     rng: &mut R,
@@ -112,7 +112,7 @@ pub fn binned<E: ExampleSet, R: Rng>(
 /// a window decays exponentially in the number of bounded genes (for D = 24
 /// an all-bounded random rule matches essentially nothing, which would make
 /// the ablation comparison trivially degenerate rather than informative).
-pub fn random_population<E: ExampleSet, R: Rng>(
+pub(crate) fn random_population<E: ExampleSet, R: Rng>(
     data: &E,
     population_size: usize,
     rng: &mut R,
@@ -126,7 +126,7 @@ pub fn random_population<E: ExampleSet, R: Rng>(
 }
 
 /// Wildcard probability of [`random_population`] genes.
-pub const RANDOM_WILDCARD_PROB: f64 = 0.75;
+pub(crate) const RANDOM_WILDCARD_PROB: f64 = 0.75;
 
 /// One random condition.
 fn random<R: Rng>(d: usize, (lo, hi): (f64, f64), rng: &mut R) -> Condition {

@@ -114,7 +114,7 @@ impl TrainedModel {
     /// # Errors
     /// I/O errors from the writer, or `InvalidData` when serialization
     /// fails.
-    pub fn save_json<W: Write>(&self, mut writer: W) -> std::io::Result<()> {
+    pub(crate) fn save_json<W: Write>(&self, mut writer: W) -> std::io::Result<()> {
         let json = serde_json::to_string_pretty(self)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         writer.write_all(json.as_bytes())
@@ -128,7 +128,7 @@ impl TrainedModel {
         self.save_json(std::fs::File::create(path)?)
     }
 
-    /// Load a model saved with [`TrainedModel::save_json`].
+    /// Load a model saved with [`TrainedModel::save_json_file`].
     ///
     /// # Errors
     /// I/O errors, or `InvalidData` when the JSON does not parse, its rules
@@ -254,5 +254,30 @@ mod tests {
         m.predictor = RuleSetPredictor::new(Vec::new());
         let json = serde_json::to_string(&m).unwrap();
         assert_eq!(TrainedModel::load_json(json.as_bytes()).unwrap(), m);
+    }
+
+    #[test]
+    fn load_rejects_inverted_genes_and_non_finite_numbers() {
+        let json = serde_json::to_string(&sample_model()).unwrap();
+        let gene = serde_json::to_string(&Gene::bounded(0.0, 10.0)).unwrap();
+        let inverted = serde_json::to_string(&Gene::Bounded { lo: 10.0, hi: 0.0 }).unwrap();
+        let coefficients = format!(
+            "\"coefficients\":{}",
+            serde_json::to_string(&vec![1.0, 0.0]).unwrap()
+        );
+        for (from, to, why) in [
+            (gene, inverted, "gene 0"),
+            (
+                coefficients,
+                "\"coefficients\":[1e999,0.0]".to_string(),
+                "non-finite",
+            ),
+        ] {
+            assert!(json.contains(&from), "{from} not in {json}");
+            let bad = json.replace(&from, &to);
+            let err = TrainedModel::load_json(bad.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains(why), "{err}");
+        }
     }
 }

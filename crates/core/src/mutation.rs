@@ -81,7 +81,7 @@ fn perturb_interval<R: Rng>(lo: f64, hi: f64, max_step: f64, rng: &mut R) -> Gen
 
 /// A fresh random interval inside the (slightly padded) value range; used
 /// when a wildcard materializes and by the random initializer.
-pub fn random_interval<R: Rng>(lo_v: f64, hi_v: f64, rng: &mut R) -> Gene {
+pub(crate) fn random_interval<R: Rng>(lo_v: f64, hi_v: f64, rng: &mut R) -> Gene {
     let range = hi_v - lo_v;
     let center = lo_v + rng.gen::<f64>() * range;
     // Widths between 5 % and 50 % of the range: wide enough to match

@@ -73,22 +73,11 @@ impl GeneBitsets {
         self.slots.is_empty()
     }
 
-    /// Universe size (number of training windows).
-    pub fn universe(&self) -> usize {
-        self.universe
-    }
-
     /// Gene `g`'s bitset, or `None` when the gene is a wildcard (implicit
     /// all-ones).
     pub fn bitset(&self, g: usize) -> Option<&MatchBitset> {
         let s = &self.slots[g];
         s.active.then_some(&s.bits)
-    }
-
-    /// Gene `g`'s member count, or `None` for a wildcard.
-    pub fn ones(&self, g: usize) -> Option<usize> {
-        let s = &self.slots[g];
-        s.active.then_some(s.ones)
     }
 
     /// Mark gene `g` as a wildcard: its bitset is dropped from the API (the
@@ -208,7 +197,7 @@ impl Population {
     }
 
     /// Index of the worst-fitness individual; `None` when empty.
-    pub fn worst_index(&self) -> Option<usize> {
+    pub(crate) fn worst_index(&self) -> Option<usize> {
         self.individuals
             .iter()
             .enumerate()
@@ -225,11 +214,6 @@ impl Population {
             self.individuals.iter().map(|ind| ind.fitness).sum::<f64>()
                 / self.individuals.len() as f64,
         )
-    }
-
-    /// Extract all rules (the Michigan solution), consuming the population.
-    pub fn into_rules(self) -> Vec<Rule> {
-        self.individuals.into_iter().map(|ind| ind.rule).collect()
     }
 
     /// Clone out all rules.
@@ -298,9 +282,7 @@ mod tests {
         let cloned = p.rules();
         assert_eq!(cloned.len(), 2);
         assert_eq!(cloned[0].prediction, 7.0);
-        let owned = p.into_rules();
-        assert_eq!(owned.len(), 2);
-        assert_eq!(owned[1].prediction, 8.0);
+        assert_eq!(cloned[1].prediction, 8.0);
     }
 
     mod gene_bitsets {
@@ -320,10 +302,9 @@ mod tests {
             let gs = GeneBitsets::new(3, 100);
             assert_eq!(gs.len(), 3);
             assert!(!gs.is_empty());
-            assert_eq!(gs.universe(), 100);
+            assert_eq!(gs.universe, 100);
             for g in 0..3 {
                 assert!(gs.bitset(g).is_none());
-                assert!(gs.ones(g).is_none());
             }
             // All-wildcard condition: the intersection is the whole universe.
             let mut out = MatchBitset::new(100);
@@ -336,7 +317,7 @@ mod tests {
             let mut gs = GeneBitsets::new(2, 50);
             gs.recompute_with(0, fill_indices(&[3, 7, 40]));
             assert_eq!(gs.bitset(0).unwrap().to_indices(), vec![3, 7, 40]);
-            assert_eq!(gs.ones(0), Some(3));
+            assert_eq!(gs.slots[0].ones, 3);
             let mut out = MatchBitset::new(50);
             gs.intersect_into(&mut out);
             assert_eq!(out.to_indices(), vec![3, 7, 40]);
@@ -351,7 +332,6 @@ mod tests {
             // The stale [1, 2] buffer must be unreachable: gene 0 now matches
             // everything, so the intersection is gene 1's set alone.
             assert!(gs.bitset(0).is_none());
-            assert!(gs.ones(0).is_none());
             let mut out = MatchBitset::new(50);
             gs.intersect_into(&mut out);
             assert_eq!(out.to_indices(), vec![2, 3]);
@@ -366,7 +346,7 @@ mod tests {
             // may leak through.
             gs.recompute_with(0, fill_indices(&[5]));
             assert_eq!(gs.bitset(0).unwrap().to_indices(), vec![5]);
-            assert_eq!(gs.ones(0), Some(1));
+            assert_eq!(gs.slots[0].ones, 1);
         }
 
         #[test]
@@ -383,7 +363,7 @@ mod tests {
             }
             assert_eq!(child.bitset(0).unwrap().to_indices(), vec![0, 59]);
             assert!(child.bitset(1).is_none(), "wildcard must be inherited");
-            assert_eq!(child.ones(2), Some(1));
+            assert_eq!(child.slots[2].ones, 1);
         }
 
         #[test]

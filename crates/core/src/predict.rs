@@ -53,14 +53,26 @@ pub struct PredictionDetail {
     pub expected_error: f64,
 }
 
-/// Check that a rule list can be evaluated as one system: every rule has one
-/// coefficient per condition gene, and all rules share one window length.
+/// Check that a rule list can be evaluated as one system: every gene is
+/// well-formed, every number is finite, every rule has one coefficient per
+/// condition gene, and all rules share one window length.
 ///
 /// # Errors
 /// A message naming the first offending rule.
 pub(crate) fn check_rule_shapes(rules: &[Rule]) -> Result<(), String> {
     let dims = rules.first().map_or(0, Rule::window_len);
     for (i, r) in rules.iter().enumerate() {
+        if let Some(g) = r.condition.genes().iter().position(|g| !g.is_well_formed()) {
+            return Err(format!(
+                "rule {i} gene {g} is not a wildcard or a finite interval with lo <= hi"
+            ));
+        }
+        let numbers = [r.intercept, r.prediction, r.error];
+        if !r.coefficients.iter().chain(&numbers).all(|x| x.is_finite()) {
+            return Err(format!(
+                "rule {i} has a non-finite coefficient, prediction or error"
+            ));
+        }
         if r.coefficients.len() != r.window_len() {
             return Err(format!(
                 "rule {i} has {} coefficients under a {}-gene condition",
@@ -225,83 +237,28 @@ impl RuleSetPredictor {
         }
     }
 
-    /// Remove rules made redundant by better rules, judged against a
-    /// reference dataset (normally the training data): rule `B` is dropped
-    /// when some rule `A` matches a superset of `B`'s windows with an
-    /// expected error no worse than `B`'s. Coverage on the reference data is
-    /// provably unchanged; predictions can shift only where a dropped rule
-    /// used to dilute the mean of its dominator.
-    ///
-    /// Cost is `O(R² · N)` in the worst case (R rules, N windows) with an
-    /// early exit on the first non-dominated window — fine for the hundreds
-    /// of rules an ensemble produces.
-    pub fn compact<E: ExampleSet>(self, data: &E) -> RuleSetPredictor {
-        let n = data.len();
-        // Precompute match bitsets (one u64 bitset per rule) so the
-        // domination check below is a word-wise subset test, not a
-        // window-by-window re-match.
-        let matches: Vec<MatchBitset> = self
-            .rules
-            .iter()
-            .map(|r| {
-                let mut bits = MatchBitset::new(n);
-                bits.set_where_unset(|i| r.condition.matches(data.features(i)));
-                bits
-            })
-            .collect();
-        let counts: Vec<usize> = matches.iter().map(|m| m.count_ones()).collect();
-
-        let mut keep = vec![true; self.rules.len()];
-        for b in 0..self.rules.len() {
-            'candidates: for a in 0..self.rules.len() {
-                if a == b || !keep[a] {
-                    continue;
-                }
-                // A must be at least as accurate and match at least as much.
-                if self.rules[a].error > self.rules[b].error || counts[a] < counts[b] {
-                    continue;
-                }
-                // Tie-break so two identical rules don't eliminate each
-                // other: in a perfect tie, the lower index survives.
-                if counts[a] == counts[b] && self.rules[a].error == self.rules[b].error && a > b {
-                    continue;
-                }
-                if !matches[b].is_subset_of(&matches[a]) {
-                    continue 'candidates; // B reaches a window A misses
-                }
-                keep[b] = false;
-                break;
-            }
-        }
-
-        RuleSetPredictor::with_all_rules(
-            self.rules
-                .into_iter()
-                .zip(keep)
-                .filter_map(|(r, k)| k.then_some(r))
-                .collect(),
-        )
-    }
-
     /// Fraction of a dataset's examples that receive a prediction.
-    ///
-    /// Accumulates a bitset union rule by rule, only re-testing windows no
-    /// earlier rule has covered, and stops as soon as the union saturates —
-    /// so heavily overlapping ensembles cost far less than `rules × windows`
-    /// condition tests.
     pub fn coverage<E: ExampleSet>(&self, data: &E) -> f64 {
         let n = data.len();
         if n == 0 {
             return 0.0;
         }
         let mut covered = MatchBitset::new(n);
-        for r in &self.rules {
-            covered.set_where_unset(|i| r.condition.matches(data.features(i)));
-            if covered.all_set() {
-                break;
-            }
-        }
+        fold_coverage(&mut covered, &self.rules, data);
         covered.count_ones() as f64 / n as f64
+    }
+}
+
+/// Mark in `covered` every window of `data` that some rule in `rules`
+/// matches. Only windows no earlier rule has covered are re-tested, and the
+/// fold stops once every window is covered, so heavily overlapping rule sets
+/// cost far less than `rules × windows` condition tests.
+pub(crate) fn fold_coverage<E: ExampleSet>(covered: &mut MatchBitset, rules: &[Rule], data: &E) {
+    for r in rules {
+        if covered.all_set() {
+            break;
+        }
+        covered.set_where_unset(|i| r.condition.matches(data.features(i)));
     }
 }
 
@@ -479,53 +436,6 @@ mod tests {
             p.predict_with(&[9.0], Combination::InverseErrorWeighted),
             None
         );
-    }
-
-    #[test]
-    fn compact_drops_dominated_rules() {
-        let vals: Vec<f64> = (0..30).map(|i| i as f64).collect();
-        let ds = WindowSpec::new(1, 1).unwrap().dataset(&vals).unwrap();
-        let p = RuleSetPredictor::new(vec![
-            rule(0.0, 20.0, 1.0, 1.0, 5, 0.1),  // dominator: wide and precise
-            rule(5.0, 10.0, 1.0, 1.0, 5, 0.5),  // subset with worse error: dropped
-            rule(22.0, 28.0, 1.0, 1.0, 5, 0.9), // disjoint zone: kept
-        ]);
-        let before_cov = p.coverage(&ds);
-        let compacted = p.compact(&ds);
-        assert_eq!(compacted.len(), 2);
-        assert!((compacted.coverage(&ds) - before_cov).abs() < 1e-12);
-        // The dominator survived, the subset died.
-        assert!(compacted
-            .rules()
-            .iter()
-            .any(|r| r.condition.matches(&[15.0])));
-        assert!(compacted
-            .rules()
-            .iter()
-            .any(|r| r.condition.matches(&[25.0])));
-    }
-
-    #[test]
-    fn compact_keeps_one_of_identical_twins() {
-        let vals: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let ds = WindowSpec::new(1, 1).unwrap().dataset(&vals).unwrap();
-        let twin = rule(0.0, 9.0, 1.0, 1.0, 5, 0.2);
-        let p = RuleSetPredictor::new(vec![twin.clone(), twin]);
-        let compacted = p.compact(&ds);
-        assert_eq!(compacted.len(), 1, "exactly one twin must survive");
-        assert!(compacted.coverage(&ds) > 0.99);
-    }
-
-    #[test]
-    fn compact_preserves_non_dominated_overlaps() {
-        // Overlapping but neither a subset of the other: both stay.
-        let vals: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        let ds = WindowSpec::new(1, 1).unwrap().dataset(&vals).unwrap();
-        let p = RuleSetPredictor::new(vec![
-            rule(0.0, 12.0, 1.0, 1.0, 5, 0.1),
-            rule(8.0, 19.0, 1.0, 1.0, 5, 0.1),
-        ]);
-        assert_eq!(p.compact(&ds).len(), 2);
     }
 
     #[test]

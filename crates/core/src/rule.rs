@@ -4,9 +4,7 @@
 //! `(LL_1, UL_1, ..., LL_D, UL_D, p, e)` with `*` marking "don't care"
 //! positions. Here a gene is an explicit enum — [`Gene::Wildcard`] or
 //! [`Gene::Bounded`] — which makes the matching hot loop branch-predictable
-//! and the genetic operators type-safe, while [`Condition::to_flat`] /
-//! [`Condition::from_flat`] round-trip the paper's flat encoding (with
-//! `f64::NAN` standing in for `*`).
+//! and the genetic operators type-safe.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -37,7 +35,7 @@ impl Gene {
 
     /// Does a value satisfy this gene?
     #[inline]
-    pub fn accepts(&self, x: f64) -> bool {
+    pub(crate) fn accepts(&self, x: f64) -> bool {
         match *self {
             Gene::Wildcard => true,
             Gene::Bounded { lo, hi } => (lo..=hi).contains(&x),
@@ -61,13 +59,13 @@ impl Gene {
     }
 
     /// Is this the wildcard?
-    pub fn is_wildcard(&self) -> bool {
+    pub(crate) fn is_wildcard(&self) -> bool {
         matches!(self, Gene::Wildcard)
     }
 
     /// True when the gene's data is well-formed: a wildcard, or a bounded
     /// interval with finite, ordered endpoints.
-    pub fn is_well_formed(&self) -> bool {
+    pub(crate) fn is_well_formed(&self) -> bool {
         match *self {
             Gene::Wildcard => true,
             Gene::Bounded { lo, hi } => lo.is_finite() && hi.is_finite() && lo <= hi,
@@ -148,7 +146,7 @@ impl Condition {
     }
 
     /// Number of non-wildcard genes (the condition's specificity).
-    pub fn specificity(&self) -> usize {
+    pub(crate) fn specificity(&self) -> usize {
         self.genes.iter().filter(|g| !g.is_wildcard()).count()
     }
 
@@ -160,82 +158,7 @@ impl Condition {
             Gene::Wildcard => None,
         })
     }
-
-    /// Serialize to the paper's flat `(LL_1, UL_1, ..., LL_D, UL_D)` layout,
-    /// with NaN pairs standing in for `*`.
-    pub fn to_flat(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.genes.len() * 2);
-        for g in &self.genes {
-            match *g {
-                Gene::Wildcard => {
-                    out.push(f64::NAN);
-                    out.push(f64::NAN);
-                }
-                Gene::Bounded { lo, hi } => {
-                    out.push(lo);
-                    out.push(hi);
-                }
-            }
-        }
-        out
-    }
-
-    /// Parse the flat layout produced by [`Condition::to_flat`], rejecting
-    /// malformed input with a typed error.
-    ///
-    /// # Errors
-    /// [`FlatEncodingError`] on empty or odd-length input, or a pair where
-    /// exactly one bound is NaN.
-    pub fn try_from_flat(flat: &[f64]) -> Result<Condition, FlatEncodingError> {
-        if flat.is_empty() || !flat.len().is_multiple_of(2) {
-            return Err(FlatEncodingError::BadLength(flat.len()));
-        }
-        let genes = flat
-            .chunks_exact(2)
-            .enumerate()
-            .map(|(i, pair)| match (pair[0].is_nan(), pair[1].is_nan()) {
-                (true, true) => Ok(Gene::Wildcard),
-                (false, false) => Ok(Gene::bounded(pair[0], pair[1])),
-                _ => Err(FlatEncodingError::HalfNanPair(i)),
-            })
-            .collect::<Result<Vec<Gene>, FlatEncodingError>>()?;
-        Ok(Condition::new(genes))
-    }
-
-    /// Parse the flat layout produced by [`Condition::to_flat`].
-    ///
-    /// # Panics
-    /// Panics on odd-length input or a half-NaN pair; use
-    /// [`Condition::try_from_flat`] to handle malformed input gracefully.
-    pub fn from_flat(flat: &[f64]) -> Condition {
-        // audit: allow(panic-freedom) — documented panicking convenience wrapper; fallible path is try_from_flat
-        Condition::try_from_flat(flat).unwrap_or_else(|e| panic!("{e}"))
-    }
 }
-
-/// Why a flat `(LL, UL)` encoding failed to parse into a [`Condition`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlatEncodingError {
-    /// Input length was zero or odd — it cannot hold `(lo, hi)` pairs.
-    BadLength(usize),
-    /// Pair at this index has exactly one NaN bound; a wildcard needs both.
-    HalfNanPair(usize),
-}
-
-impl fmt::Display for FlatEncodingError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            FlatEncodingError::BadLength(n) => {
-                write!(f, "flat encoding of length {n} cannot hold (lo, hi) pairs")
-            }
-            FlatEncodingError::HalfNanPair(i) => {
-                write!(f, "half-NaN pair at gene {i} in flat encoding")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FlatEncodingError {}
 
 impl fmt::Display for Condition {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -414,32 +337,6 @@ mod tests {
         }]);
     }
 
-    #[test]
-    fn flat_round_trip_with_wildcards() {
-        let c = Condition::new(vec![
-            Gene::bounded(50.0, 100.0),
-            Gene::Wildcard,
-            Gene::bounded(-10.0, 5.0),
-        ]);
-        let flat = c.to_flat();
-        assert_eq!(flat.len(), 6);
-        assert!(flat[2].is_nan() && flat[3].is_nan());
-        let back = Condition::from_flat(&flat);
-        assert_eq!(back, c);
-    }
-
-    #[test]
-    #[should_panic(expected = "half-NaN")]
-    fn half_nan_pair_panics() {
-        Condition::from_flat(&[f64::NAN, 1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "pairs")]
-    fn odd_flat_panics() {
-        Condition::from_flat(&[1.0, 2.0, 3.0]);
-    }
-
     fn sample_rule() -> Rule {
         Rule {
             condition: Condition::new(vec![Gene::bounded(0.0, 10.0), Gene::Wildcard]),
@@ -492,24 +389,6 @@ mod tests {
             let window = &probe[..d];
             let expected = genes.iter().zip(window.iter()).all(|(g, &x)| g.accepts(x));
             prop_assert_eq!(c.matches(window), expected);
-        }
-
-        #[test]
-        fn flat_round_trips(
-            spec in proptest::collection::vec(
-                proptest::option::of((-100.0..100.0f64, -100.0..100.0f64)),
-                1..10,
-            )
-        ) {
-            let genes: Vec<Gene> = spec
-                .iter()
-                .map(|o| match o {
-                    Some((a, b)) => Gene::bounded(*a, *b),
-                    None => Gene::Wildcard,
-                })
-                .collect();
-            let c = Condition::new(genes);
-            prop_assert_eq!(Condition::from_flat(&c.to_flat()), c);
         }
 
         #[test]

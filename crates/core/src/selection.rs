@@ -13,7 +13,7 @@ use rand::Rng;
 /// # Panics
 /// Panics when the population is empty or `rounds == 0` — engine
 /// construction validates both.
-pub fn tournament<R: Rng>(pop: &Population, rounds: usize, rng: &mut R) -> usize {
+pub(crate) fn tournament<R: Rng>(pop: &Population, rounds: usize, rng: &mut R) -> usize {
     assert!(!pop.is_empty(), "tournament over empty population");
     assert!(rounds > 0, "tournament needs at least one round");
     let mut best = rng.gen_range(0..pop.len());

@@ -6,7 +6,7 @@
 //! is determined by the percentage of the search space covered by the rules."
 //!
 //! Executions are independent (seed `base + slot`), so each wave of
-//! [`WAVE_SIZE`] runs on parallel worker threads; rule sets merge in slot
+//! `WAVE_SIZE` runs on parallel worker threads; rule sets merge in slot
 //! order, so the final predictor does not depend on thread scheduling. Waves
 //! have a fixed size so the early-stopping decision (and therefore the
 //! result) does not depend on the machine's core count. After each wave the
@@ -49,14 +49,14 @@ use crate::dataset::ExampleSet;
 use crate::engine::Engine;
 use crate::error::{EvoError, FailureKind};
 use crate::parallel::map_ranges;
-use crate::predict::RuleSetPredictor;
+use crate::predict::{fold_coverage, RuleSetPredictor};
 use crate::rule::Rule;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Executions launched per coverage check.
-pub const WAVE_SIZE: usize = 4;
+pub(crate) const WAVE_SIZE: usize = 4;
 
 /// Resource limits for one supervisor run. All limits are optional; the
 /// default grants 2 retries per execution and no other bounds.
@@ -95,12 +95,6 @@ impl RunBudget {
     /// Builder-style retry cap.
     pub fn with_max_retries(mut self, retries: u32) -> Self {
         self.max_retries = retries;
-        self
-    }
-
-    /// Builder-style session execution cap.
-    pub fn with_max_new_executions(mut self, executions: usize) -> Self {
-        self.max_new_executions = Some(executions);
         self
     }
 }
@@ -209,13 +203,14 @@ impl FaultPlan {
     }
 
     /// Builder-style: kill `execution`'s attempt number `attempt`.
-    pub fn kill(mut self, execution: usize, attempt: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn kill(mut self, execution: usize, attempt: u32) -> Self {
         self.kills.insert((execution, attempt));
         self
     }
 
     /// Is this `(execution, attempt)` scheduled to die?
-    pub fn should_kill(&self, execution: usize, attempt: u32) -> bool {
+    pub(crate) fn should_kill(&self, execution: usize, attempt: u32) -> bool {
         self.kills.contains(&(execution, attempt))
     }
 }
@@ -251,8 +246,8 @@ impl Supervisor {
     }
 
     /// Builder-style: install a fault plan (tests only).
-    #[cfg(feature = "fault-injection")]
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
+    #[cfg(all(test, feature = "fault-injection"))]
+    pub(crate) fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
         self
     }
@@ -421,12 +416,7 @@ impl Supervisor {
             // Fold only the newly merged rules, and only into still-uncovered
             // windows: the same union as `predictor.coverage(&data)`, much
             // cheaper once early waves cover most of the space.
-            for r in &predictor.rules()[folded_rules..] {
-                if covered_bits.all_set() {
-                    break;
-                }
-                covered_bits.set_where_unset(|i| r.condition.matches(data.features(i)));
-            }
+            fold_coverage(&mut covered_bits, &predictor.rules()[folded_rules..], &data);
             folded_rules = predictor.len();
             coverage = if n == 0 {
                 0.0
@@ -755,9 +745,10 @@ mod tests {
         let cfg = quick_config(series.values())
             .with_max_executions(8)
             .with_coverage_target(1.0);
-        let sup = Supervisor::new(cfg)
-            .unwrap()
-            .with_budget(RunBudget::default().with_max_new_executions(WAVE_SIZE));
+        let sup = Supervisor::new(cfg).unwrap().with_budget(RunBudget {
+            max_new_executions: Some(WAVE_SIZE),
+            ..RunBudget::default()
+        });
         let (_, rep) = sup.run(series.values()).unwrap();
         if rep.target_reached {
             // The first wave can legitimately cover everything; the budget
@@ -802,7 +793,10 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let sup1 = Supervisor::new(cfg.clone())
             .unwrap()
-            .with_budget(RunBudget::default().with_max_new_executions(WAVE_SIZE));
+            .with_budget(RunBudget {
+                max_new_executions: Some(WAVE_SIZE),
+                ..RunBudget::default()
+            });
         let (_, rep1) = sup1.run_resumable(series.values(), &path).unwrap();
         assert!(
             !rep1.target_reached,

@@ -10,7 +10,7 @@
 //!   [`regression::NormalEqAccumulator`] builds the ridge normal equations
 //!   and solves them by Cholesky, falling back to pivoted LU,
 //! * [`stats`] — summary statistics used by generators, initializers and
-//!   metrics (mean, variance, quantiles, autocorrelation, histograms),
+//!   metrics (mean, variance, quantiles, autocorrelation),
 //! * [`fft`] — the real FFT behind the spectral validation of the series.
 //!
 //! # Example
@@ -39,7 +39,7 @@ mod cholesky;
 pub mod error;
 pub mod fft;
 mod lu;
-pub mod matrix;
+mod matrix;
 pub mod regression;
 pub mod stats;
 pub mod vector;

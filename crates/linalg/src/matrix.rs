@@ -1,11 +1,10 @@
 //! Row-major dense matrix.
 //!
 //! The matrix type is deliberately small and concrete: `f64` elements stored
-//! contiguously, row-major, with shape checks returning [`LinalgError`] rather
-//! than panicking, so the evolutionary engine can treat degenerate regression
-//! inputs (e.g. a rule matching a single window) as recoverable conditions.
+//! contiguously, row-major, with only the accessors the regression and the
+//! solvers use. Shape and content checks live in those solvers, which return
+//! [`crate::LinalgError`] rather than panicking.
 
-use crate::error::LinalgError;
 use crate::vector;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -30,7 +29,8 @@ impl Matrix {
     }
 
     /// Identity matrix of order `n`.
-    pub fn identity(n: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = 1.0;
@@ -128,81 +128,14 @@ impl Matrix {
         }
     }
 
-    /// Transposed copy.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
-    }
-
-    /// Matrix product `self * rhs`.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::ShapeMismatch`] when `self.cols != rhs.rows`.
-    pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.cols != rhs.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "matmul",
-                left: self.shape(),
-                right: rhs.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        // i-k-j loop order: the innermost loop walks contiguous rows of both
-        // `rhs` and `out`, which is cache-friendly for row-major storage.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                let rhs_row = rhs.row(k);
-                let out_row = out.row_mut(i);
-                vector::axpy(a, rhs_row, out_row);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Matrix-vector product `self * v`.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::ShapeMismatch`] when `v.len() != cols`.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        if v.len() != self.cols {
-            return Err(LinalgError::ShapeMismatch {
-                op: "matvec",
-                left: self.shape(),
-                right: (v.len(), 1),
-            });
-        }
-        Ok((0..self.rows)
-            .map(|i| vector::dot_unchecked(self.row(i), v))
-            .collect())
-    }
-
     /// Maximum absolute element; `0.0` for an empty matrix.
-    pub fn norm_max(&self) -> f64 {
+    pub(crate) fn norm_max(&self) -> f64 {
         vector::norm_inf(&self.data)
     }
 
     /// True when all entries are finite.
-    pub fn all_finite(&self) -> bool {
+    pub(crate) fn all_finite(&self) -> bool {
         vector::all_finite(&self.data)
-    }
-
-    /// True when `|self - rhs|` is element-wise within `tol`.
-    pub fn approx_eq(&self, rhs: &Matrix, tol: f64) -> bool {
-        self.shape() == rhs.shape()
-            && self
-                .data
-                .iter()
-                .zip(rhs.data.iter())
-                .all(|(&a, &b)| (a - b).abs() <= tol)
     }
 }
 
@@ -247,7 +180,6 @@ impl fmt::Display for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn small_matrix() -> Matrix {
         Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])
@@ -294,47 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_round_trip() {
-        let m = Matrix::from_fn(3, 4, |i, j| (i * 7 + j * 3) as f64);
-        assert_eq!(m.transpose().transpose(), m);
-        assert_eq!(m.transpose().shape(), (4, 3));
-        assert_eq!(m.transpose()[(2, 1)], m[(1, 2)]);
-    }
-
-    #[test]
-    fn matmul_identity() {
-        let m = small_matrix();
-        let i = Matrix::identity(2);
-        assert!(m.matmul(&i).unwrap().approx_eq(&m, 1e-12));
-        assert!(i.matmul(&m).unwrap().approx_eq(&m, 1e-12));
-    }
-
-    #[test]
-    fn matmul_known_product() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        let b = Matrix::from_rows(&[&[7.0, 8.0], &[9.0, 10.0], &[11.0, 12.0]]);
-        let c = a.matmul(&b).unwrap();
-        assert!(c.approx_eq(&Matrix::from_rows(&[&[58.0, 64.0], &[139.0, 154.0]]), 1e-12));
-    }
-
-    #[test]
-    fn matmul_shape_mismatch() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(matches!(
-            a.matmul(&b),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn matvec_known() {
-        let m = small_matrix();
-        assert_eq!(m.matvec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
-        assert!(m.matvec(&[1.0]).is_err());
-    }
-
-    #[test]
     fn norms_and_finiteness() {
         let m = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, -4.0]]);
         assert!((m.norm_max() - 4.0).abs() < 1e-12);
@@ -349,30 +240,5 @@ mod tests {
         let s = small_matrix().to_string();
         assert!(s.contains("2x2"));
         assert!(s.contains("4.0"));
-    }
-
-    proptest! {
-        #[test]
-        fn transpose_involution(
-            rows in 1usize..6, cols in 1usize..6, seed in 0u64..999
-        ) {
-            let m = Matrix::from_fn(rows, cols, |i, j| {
-                ((i * 31 + j * 17) as f64 + seed as f64).sin()
-            });
-            prop_assert_eq!(m.transpose().transpose(), m);
-        }
-
-        #[test]
-        fn matmul_associative(
-            n in 1usize..5, seed in 0u64..999
-        ) {
-            let gen = |off: u64| Matrix::from_fn(n, n, move |i, j| {
-                (((i * 13 + j * 7) as u64 + seed + off) as f64 * 0.37).cos()
-            });
-            let (a, b, c) = (gen(0), gen(100), gen(200));
-            let left = a.matmul(&b).unwrap().matmul(&c).unwrap();
-            let right = a.matmul(&b.matmul(&c).unwrap()).unwrap();
-            prop_assert!(left.approx_eq(&right, 1e-9));
-        }
     }
 }

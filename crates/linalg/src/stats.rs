@@ -1,8 +1,8 @@
 //! Summary statistics over `f64` slices.
 //!
-//! Used by the series generators (to calibrate surge magnitudes), the rule
-//! initializer (output-range binning needs min/max and bin histograms), and
-//! the metrics crate (NMSE needs the target variance).
+//! Used by the series generators (to calibrate surge magnitudes), the
+//! scalers and the engine configuration (both need min/max), and the metrics
+//! crate (NMSE needs the target variance).
 
 use crate::error::LinalgError;
 
@@ -19,15 +19,6 @@ pub fn mean(xs: &[f64]) -> Option<f64> {
 pub fn variance(xs: &[f64]) -> Option<f64> {
     let m = mean(xs)?;
     Some(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64)
-}
-
-/// Sample variance (divides by `n - 1`); `None` when `n < 2`.
-pub fn sample_variance(xs: &[f64]) -> Option<f64> {
-    if xs.len() < 2 {
-        return None;
-    }
-    let m = mean(xs)?;
-    Some(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64)
 }
 
 /// Population standard deviation; `None` for an empty slice.
@@ -97,43 +88,6 @@ pub fn median(xs: &[f64]) -> Result<f64, LinalgError> {
     quantile(xs, 0.5)
 }
 
-/// Covariance of two equal-length slices (population normalization).
-///
-/// # Errors
-/// * [`LinalgError::ShapeMismatch`] for differing lengths,
-/// * [`LinalgError::Empty`] for empty input.
-pub fn covariance(xs: &[f64], ys: &[f64]) -> Result<f64, LinalgError> {
-    if xs.len() != ys.len() {
-        return Err(LinalgError::ShapeMismatch {
-            op: "covariance",
-            left: (1, xs.len()),
-            right: (1, ys.len()),
-        });
-    }
-    let mx = mean(xs).ok_or(LinalgError::Empty)?;
-    let my = mean(ys).ok_or(LinalgError::Empty)?;
-    Ok(xs
-        .iter()
-        .zip(ys.iter())
-        .map(|(&x, &y)| (x - mx) * (y - my))
-        .sum::<f64>()
-        / xs.len() as f64)
-}
-
-/// Pearson correlation; `None` when either input is (near-)constant.
-///
-/// # Errors
-/// Same as [`covariance`].
-pub fn correlation(xs: &[f64], ys: &[f64]) -> Result<Option<f64>, LinalgError> {
-    let cov = covariance(xs, ys)?;
-    let sx = std_dev(xs).ok_or(LinalgError::Empty)?;
-    let sy = std_dev(ys).ok_or(LinalgError::Empty)?;
-    if sx <= f64::EPSILON || sy <= f64::EPSILON {
-        return Ok(None);
-    }
-    Ok(Some(cov / (sx * sy)))
-}
-
 /// Lag-`k` autocorrelation of a series; `None` when the series is constant or
 /// shorter than `k + 2`.
 pub fn autocorrelation(xs: &[f64], k: usize) -> Option<f64> {
@@ -151,33 +105,6 @@ pub fn autocorrelation(xs: &[f64], k: usize) -> Option<f64> {
     Some(num / var)
 }
 
-/// Fixed-width histogram over `[lo, hi]` with `bins` buckets. Values outside
-/// the range are clamped into the edge buckets (the initializer wants *every*
-/// training target assigned to a bin).
-///
-/// # Errors
-/// * [`LinalgError::Empty`] when `bins == 0`,
-/// * [`LinalgError::NonFinite`] when `lo >= hi` or bounds are not finite.
-pub fn histogram(xs: &[f64], lo: f64, hi: f64, bins: usize) -> Result<Vec<usize>, LinalgError> {
-    if bins == 0 {
-        return Err(LinalgError::Empty);
-    }
-    if !(lo.is_finite() && hi.is_finite()) || lo >= hi {
-        return Err(LinalgError::NonFinite);
-    }
-    let mut counts = vec![0usize; bins];
-    let width = (hi - lo) / bins as f64;
-    for &x in xs {
-        if x.is_nan() {
-            continue;
-        }
-        let idx = ((x - lo) / width).floor();
-        let idx = idx.clamp(0.0, (bins - 1) as f64) as usize;
-        counts[idx] += 1;
-    }
-    Ok(counts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,7 +115,6 @@ mod tests {
         let xs = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(mean(&xs), Some(2.5));
         assert_eq!(variance(&xs), Some(1.25));
-        assert!((sample_variance(&xs).unwrap() - 5.0 / 3.0).abs() < 1e-12);
         assert!((std_dev(&xs).unwrap() - 1.25f64.sqrt()).abs() < 1e-12);
     }
 
@@ -196,7 +122,6 @@ mod tests {
     fn empty_inputs() {
         assert_eq!(mean(&[]), None);
         assert_eq!(variance(&[]), None);
-        assert_eq!(sample_variance(&[1.0]), None);
         assert_eq!(min(&[]), None);
         assert_eq!(max(&[]), None);
         assert_eq!(min_max(&[]), None);
@@ -229,19 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn covariance_and_correlation() {
-        let xs = [1.0, 2.0, 3.0];
-        let ys = [2.0, 4.0, 6.0];
-        assert!((covariance(&xs, &ys).unwrap() - 4.0 / 3.0).abs() < 1e-12);
-        assert!((correlation(&xs, &ys).unwrap().unwrap() - 1.0).abs() < 1e-12);
-        let neg: Vec<f64> = ys.iter().map(|y| -y).collect();
-        assert!((correlation(&xs, &neg).unwrap().unwrap() + 1.0).abs() < 1e-12);
-        assert_eq!(correlation(&xs, &[5.0, 5.0, 5.0]).unwrap(), None);
-        assert!(covariance(&xs, &[1.0]).is_err());
-        assert!(covariance(&[], &[]).is_err());
-    }
-
-    #[test]
     fn autocorrelation_of_periodic_signal() {
         let xs: Vec<f64> = (0..64)
             .map(|i| (2.0 * std::f64::consts::PI * i as f64 / 8.0).cos())
@@ -252,23 +164,6 @@ mod tests {
         assert!(autocorrelation(&xs, 4).unwrap() < -0.7);
         assert_eq!(autocorrelation(&[1.0, 1.0, 1.0, 1.0], 1), None);
         assert_eq!(autocorrelation(&[1.0], 4), None);
-    }
-
-    #[test]
-    fn histogram_counts_and_clamps() {
-        let xs = [0.1, 0.1, 0.5, 0.9, -5.0, 5.0];
-        let h = histogram(&xs, 0.0, 1.0, 2).unwrap();
-        // -5.0 clamps into bin 0; 5.0 and 0.9 into bin 1; 0.5 lands in bin 1.
-        assert_eq!(h, vec![3, 3]);
-        assert!(histogram(&xs, 0.0, 1.0, 0).is_err());
-        assert!(histogram(&xs, 1.0, 1.0, 3).is_err());
-        assert!(histogram(&xs, f64::NAN, 1.0, 3).is_err());
-    }
-
-    #[test]
-    fn histogram_skips_nan_values() {
-        let h = histogram(&[0.5, f64::NAN], 0.0, 1.0, 4).unwrap();
-        assert_eq!(h.iter().sum::<usize>(), 1);
     }
 
     proptest! {
@@ -292,30 +187,6 @@ mod tests {
         ) {
             let (a, b) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
             prop_assert!(quantile(&v, a).unwrap() <= quantile(&v, b).unwrap() + 1e-12);
-        }
-
-        #[test]
-        fn histogram_total_equals_len(
-            v in proptest::collection::vec(-10.0..10.0f64, 0..64),
-            bins in 1usize..16,
-        ) {
-            let h = histogram(&v, -10.0, 10.0, bins).unwrap();
-            prop_assert_eq!(h.iter().sum::<usize>(), v.len());
-        }
-
-        #[test]
-        fn correlation_bounded(
-            v in proptest::collection::vec(-1e3..1e3f64, 2..48),
-            seed in 0u64..100,
-        ) {
-            let w: Vec<f64> = v
-                .iter()
-                .enumerate()
-                .map(|(i, &x)| x * 0.3 + ((i as u64 ^ seed) as f64 * 0.77).sin())
-                .collect();
-            if let Some(r) = correlation(&v, &w).unwrap() {
-                prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r));
-            }
         }
     }
 }

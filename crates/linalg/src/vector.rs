@@ -15,7 +15,7 @@ pub fn dot_unchecked(a: &[f64], b: &[f64]) -> f64 {
 
 /// Infinity norm (maximum absolute value); `0.0` for an empty slice.
 #[inline]
-pub fn norm_inf(a: &[f64]) -> f64 {
+pub(crate) fn norm_inf(a: &[f64]) -> f64 {
     a.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
 }
 
@@ -24,7 +24,7 @@ pub fn norm_inf(a: &[f64]) -> f64 {
 /// # Panics
 /// Panics in debug builds when lengths differ (hot-path helper).
 #[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+pub(crate) fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len(), "axpy length mismatch");
     for (yi, &xi) in y.iter_mut().zip(x.iter()) {
         *yi += alpha * xi;
@@ -46,7 +46,7 @@ pub fn dist2_sq(a: &[f64], b: &[f64]) -> f64 {
 
 /// True when every element is finite (no NaN / ±inf).
 #[inline]
-pub fn all_finite(a: &[f64]) -> bool {
+pub(crate) fn all_finite(a: &[f64]) -> bool {
     a.iter().all(|x| x.is_finite())
 }
 

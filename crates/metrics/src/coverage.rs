@@ -22,12 +22,12 @@ impl CoverageAccumulator {
     }
 
     /// Record a point for which the system produced a prediction.
-    pub fn record_predicted(&mut self) {
+    pub(crate) fn record_predicted(&mut self) {
         self.predicted += 1;
     }
 
     /// Record a point for which the system abstained.
-    pub fn record_abstained(&mut self) {
+    pub(crate) fn record_abstained(&mut self) {
         self.abstained += 1;
     }
 
@@ -66,7 +66,7 @@ impl CoverageAccumulator {
 
     /// Percentage predicted in `[0, 100]` — the tables' "Percentage of
     /// prediction" column. `None` when nothing was recorded.
-    pub fn percentage(&self) -> Option<f64> {
+    pub(crate) fn percentage(&self) -> Option<f64> {
         self.fraction().map(|f| 100.0 * f)
     }
 

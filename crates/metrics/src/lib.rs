@@ -13,16 +13,16 @@
 //! windows no rule matches.
 //!
 //! All paired metrics skip abstentions when fed through
-//! [`paired::PairedErrors`], so an experiment computes error-over-predicted
+//! [`PairedErrors`], so an experiment computes error-over-predicted
 //! and coverage in one pass, exactly like the paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compare;
+mod compare;
 pub mod coverage;
 pub mod error;
-pub mod paired;
+mod paired;
 pub mod report;
 
 pub use compare::{bootstrap_rmse_diff, BootstrapComparison};
@@ -95,31 +95,6 @@ pub fn max_abs_error(actual: &[f64], predicted: &[f64]) -> Result<f64, MetricErr
         .fold(0.0_f64, f64::max))
 }
 
-/// Mean absolute percentage error (in percent). Pairs whose actual value is
-/// zero are skipped; returns [`MetricError::Degenerate`] when every pair is
-/// skipped.
-///
-/// # Errors
-/// [`MetricError::LengthMismatch`] / [`MetricError::Empty`] /
-/// [`MetricError::Degenerate`].
-pub fn mape(actual: &[f64], predicted: &[f64]) -> Result<f64, MetricError> {
-    check_lengths(actual, predicted)?;
-    let mut sum = 0.0;
-    let mut count = 0usize;
-    for (&a, &p) in actual.iter().zip(predicted.iter()) {
-        if a != 0.0 {
-            sum += ((a - p) / a).abs();
-            count += 1;
-        }
-    }
-    if count == 0 {
-        return Err(MetricError::Degenerate(
-            "all actual values are zero; MAPE undefined",
-        ));
-    }
-    Ok(100.0 * sum / count as f64)
-}
-
 /// Normalized mean squared error: `MSE / Var(actual)` — the measure used for
 /// the Mackey-Glass comparison (Table 2). An NMSE of 1.0 means "no better
 /// than predicting the mean".
@@ -155,14 +130,6 @@ pub fn half_mse(actual: &[f64], predicted: &[f64], horizon: usize) -> Result<f64
     // Paper indexes i = 0..N inclusive, so N = len - 1.
     let n = actual.len() - 1;
     Ok(sum / (2.0 * (n + horizon) as f64))
-}
-
-/// Root of [`nmse`], occasionally reported in the RBF literature.
-///
-/// # Errors
-/// Same as [`nmse`].
-pub fn nrmse(actual: &[f64], predicted: &[f64]) -> Result<f64, MetricError> {
-    nmse(actual, predicted).map(f64::sqrt)
 }
 
 #[cfg(test)]
@@ -210,18 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn mape_skips_zero_actuals() {
-        let actual = [0.0, 2.0];
-        let predicted = [1.0, 1.0];
-        // Only the second pair counts: |2-1|/2 = 0.5 -> 50%
-        assert!((mape(&actual, &predicted).unwrap() - 50.0).abs() < 1e-12);
-        assert!(matches!(
-            mape(&[0.0, 0.0], &[1.0, 1.0]),
-            Err(MetricError::Degenerate(_))
-        ));
-    }
-
-    #[test]
     fn nmse_of_mean_predictor_is_one() {
         let actual = [1.0, 2.0, 3.0, 4.0, 5.0];
         let mean = 3.0;
@@ -249,12 +204,6 @@ mod tests {
         // N = 3, tau = 0 -> divide by 6.
         let v = half_mse(&A, &P, 0).unwrap();
         assert!((v - 2.25 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn nrmse_consistency() {
-        let v = nmse(&A, &P).unwrap();
-        assert!((nrmse(&A, &P).unwrap() - v.sqrt()).abs() < 1e-12);
     }
 
     proptest! {

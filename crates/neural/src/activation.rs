@@ -16,7 +16,7 @@ pub enum Activation {
 impl Activation {
     /// Apply the activation.
     #[inline]
-    pub fn apply(&self, x: f64) -> f64 {
+    pub(crate) fn apply(&self, x: f64) -> f64 {
         match self {
             Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
             Activation::Tanh => x.tanh(),
@@ -27,7 +27,7 @@ impl Activation {
     /// Derivative expressed in terms of the *activated output* `y = f(x)` —
     /// the form backprop wants, since the forward pass already stores `y`.
     #[inline]
-    pub fn derivative_from_output(&self, y: f64) -> f64 {
+    pub(crate) fn derivative_from_output(&self, y: f64) -> f64 {
         match self {
             Activation::Sigmoid => y * (1.0 - y),
             Activation::Tanh => 1.0 - y * y,

@@ -114,11 +114,6 @@ impl Elman {
         })
     }
 
-    /// Number of input taps.
-    pub fn inputs(&self) -> usize {
-        self.inputs
-    }
-
     /// Reset the context units to zero (start of a new sequence).
     pub fn reset(&mut self) {
         self.context.iter_mut().for_each(|c| *c = 0.0);

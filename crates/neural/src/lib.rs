@@ -23,21 +23,21 @@
 // clearly than clippy's zip/enumerate rewrites.
 #![allow(clippy::needless_range_loop)]
 
-pub mod activation;
+mod activation;
 pub mod elman;
 pub mod error;
-pub mod kmeans;
 pub mod mlp;
 pub mod mran;
 pub mod naive;
 pub mod ran;
 pub mod rbf;
 
+pub use activation::Activation;
 pub use elman::Elman;
 pub use error::NeuralError;
 pub use mlp::Mlp;
 pub use mran::Mran;
-pub use naive::{Drift, Persistence, SeasonalNaive, WindowMean};
+pub use naive::{Drift, Persistence, SeasonalNaive};
 pub use ran::Ran;
 pub use rbf::RbfNetwork;
 

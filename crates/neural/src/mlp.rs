@@ -105,11 +105,6 @@ impl Mlp {
         })
     }
 
-    /// Number of input taps.
-    pub fn inputs(&self) -> usize {
-        self.inputs
-    }
-
     /// Forward pass returning `(hidden_outputs, output)`.
     fn forward(&self, x: &[f64]) -> (Vec<f64>, f64) {
         let mut hidden = Vec::with_capacity(self.config.hidden);

@@ -54,8 +54,6 @@ pub struct Mran {
     recent_sq_errors: VecDeque<f64>,
     /// Per-unit count of consecutive low-contribution observations.
     low_contribution: Vec<usize>,
-    /// Units pruned so far (diagnostic).
-    pruned: usize,
 }
 
 impl Mran {
@@ -80,7 +78,6 @@ impl Mran {
             ran,
             recent_sq_errors: VecDeque::with_capacity(config.error_window),
             low_contribution: Vec::new(),
-            pruned: 0,
         })
     }
 
@@ -94,11 +91,6 @@ impl Mran {
         self.ran.is_empty()
     }
 
-    /// Units pruned so far.
-    pub fn pruned_count(&self) -> usize {
-        self.pruned
-    }
-
     /// Predict one window.
     pub fn predict(&self, x: &[f64]) -> f64 {
         self.ran.predict(x)
@@ -106,7 +98,7 @@ impl Mran {
 
     /// Windowed RMS of recent prediction errors (`None` until the window has
     /// at least one entry).
-    pub fn windowed_rms(&self) -> Option<f64> {
+    fn windowed_rms(&self) -> Option<f64> {
         if self.recent_sq_errors.is_empty() {
             return None;
         }
@@ -116,7 +108,7 @@ impl Mran {
     }
 
     /// Consume one observation; returns the prior prediction error.
-    pub fn observe(&mut self, x: &[f64], y: f64) -> f64 {
+    pub(crate) fn observe(&mut self, x: &[f64], y: f64) -> f64 {
         // Maintain the windowed RMS *before* deciding, as the third novelty
         // criterion: a burst of errors (not one outlier) licenses allocation.
         let pre_error = y - self.ran.predict(x);
@@ -194,7 +186,6 @@ impl Mran {
             if self.low_contribution[i] >= threshold {
                 self.ran.units_mut().remove(i);
                 self.low_contribution.remove(i);
-                self.pruned += 1;
             }
         }
     }
@@ -313,8 +304,13 @@ mod tests {
             ..Default::default()
         };
         let mut m = Mran::new(3, cfg).unwrap();
-        m.train(&xs, &ys).unwrap();
-        assert!(m.pruned_count() > 0, "regime change should prune old units");
+        let mut shrank = false;
+        for i in 0..n {
+            let before = m.len();
+            m.observe(xs.row(i), ys[i]);
+            shrank |= m.len() < before;
+        }
+        assert!(shrank, "regime change should prune old units");
     }
 
     #[test]

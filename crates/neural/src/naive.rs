@@ -1,7 +1,7 @@
 //! Naive forecasting baselines.
 //!
 //! Not neural, but they live with the other comparators: persistence, the
-//! window mean, the drift extrapolation, and the seasonal-naive rule. Any
+//! drift extrapolation, and the seasonal-naive rule. Any
 //! learned forecaster that cannot beat these on a given series is not
 //! learning anything — the integration tests hold the rule system to that
 //! bar.
@@ -17,16 +17,6 @@ pub struct Persistence;
 impl Forecaster for Persistence {
     fn forecast(&self, window: &[f64]) -> f64 {
         *window.last().expect("window is non-empty")
-    }
-}
-
-/// Predict the mean of the window.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WindowMean;
-
-impl Forecaster for WindowMean {
-    fn forecast(&self, window: &[f64]) -> f64 {
-        window.iter().sum::<f64>() / window.len() as f64
     }
 }
 
@@ -116,11 +106,6 @@ mod tests {
     fn persistence_returns_last() {
         assert_eq!(Persistence.forecast(&[1.0, 2.0, 7.5]), 7.5);
         assert_eq!(Persistence.forecast(&[3.0]), 3.0);
-    }
-
-    #[test]
-    fn window_mean() {
-        assert_eq!(WindowMean.forecast(&[1.0, 2.0, 3.0]), 2.0);
     }
 
     #[test]

@@ -137,7 +137,7 @@ impl Ran {
     }
 
     /// Consume one observation; returns the *prior* prediction error.
-    pub fn observe(&mut self, x: &[f64], y: f64) -> f64 {
+    pub(crate) fn observe(&mut self, x: &[f64], y: f64) -> f64 {
         debug_assert_eq!(x.len(), self.inputs);
         // First observation initializes the bias to the first target, as in
         // Platt's formulation (f_0 = y_0).

@@ -49,22 +49,6 @@ pub struct RbfNetwork {
 }
 
 impl RbfNetwork {
-    /// Train with k-means center placement: cluster the inputs into
-    /// `centers` groups (k-means++ seeding, Lloyd iterations), use the
-    /// centroids as unit centers, then proceed as [`RbfNetwork::train`].
-    ///
-    /// # Errors
-    /// Same as [`RbfNetwork::train`], plus k-means configuration errors.
-    pub fn train_kmeans(
-        xs: &Matrix,
-        ys: &[f64],
-        centers: usize,
-        seed: u64,
-    ) -> Result<RbfNetwork, NeuralError> {
-        let km = crate::kmeans::kmeans(xs, centers, 100, 1e-8, seed)?;
-        Self::from_centers(xs, ys, km.centers)
-    }
-
     /// Train: sample `centers` rows of `xs` as unit centers, set each width
     /// to the distance to its nearest fellow center (times an overlap factor
     /// of 1.5, floored to a small epsilon), then solve the readout by least
@@ -107,33 +91,6 @@ impl RbfNetwork {
         idx.shuffle(&mut rng);
         let center_vecs: Vec<Vec<f64>> =
             idx[..centers].iter().map(|&i| xs.row(i).to_vec()).collect();
-        Self::from_centers(xs, ys, center_vecs)
-    }
-
-    /// Build a network from explicit center vectors: nearest-neighbor
-    /// widths, least-squares readout.
-    ///
-    /// # Errors
-    /// * [`NeuralError::InvalidConfig`] on an empty center set,
-    /// * [`NeuralError::ShapeMismatch`] when `ys` and `xs` differ in length,
-    /// * [`NeuralError::Diverged`] if the readout solve fails entirely.
-    pub fn from_centers(
-        xs: &Matrix,
-        ys: &[f64],
-        center_vecs: Vec<Vec<f64>>,
-    ) -> Result<RbfNetwork, NeuralError> {
-        if center_vecs.is_empty() {
-            return Err(NeuralError::InvalidConfig(
-                "need at least one center".into(),
-            ));
-        }
-        if xs.rows() != ys.len() {
-            return Err(NeuralError::ShapeMismatch {
-                what: "targets",
-                expected: xs.rows(),
-                actual: ys.len(),
-            });
-        }
         let inputs = xs.cols();
 
         // Nearest-neighbor widths.
@@ -249,7 +206,6 @@ mod tests {
         let (xs, ys) = wave_dataset(50, 3);
         assert!(RbfNetwork::train(&xs, &ys, 0, 1).is_err());
         assert!(RbfNetwork::train(&xs, &ys[..10], 5, 1).is_err());
-        assert!(RbfNetwork::train_kmeans(&xs, &ys[..10], 5, 1).is_err());
         assert!(RbfNetwork::train(&Matrix::zeros(0, 3), &[], 5, 1).is_err());
     }
 
@@ -286,37 +242,6 @@ mod tests {
         assert_eq!(a, b);
         let c = RbfNetwork::train(&xs, &ys, 10, 12).unwrap();
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn kmeans_centers_fit_at_least_as_well_on_structured_data() {
-        let (xs, ys) = wave_dataset(300, 4);
-        let random = RbfNetwork::train(&xs, &ys, 15, 7).unwrap();
-        let clustered = RbfNetwork::train_kmeans(&xs, &ys, 15, 7).unwrap();
-        let mse = |net: &RbfNetwork| -> f64 {
-            (0..xs.rows())
-                .map(|i| {
-                    let e = net.predict(xs.row(i)) - ys[i];
-                    e * e
-                })
-                .sum::<f64>()
-                / xs.rows() as f64
-        };
-        let m_random = mse(&random);
-        let m_clustered = mse(&clustered);
-        // k-means should be competitive — allow a small slack since random
-        // sampling can get lucky on a smooth 1-signal manifold.
-        assert!(
-            m_clustered < m_random * 2.0 && m_clustered < 1e-2,
-            "clustered {m_clustered} vs random {m_random}"
-        );
-        assert_eq!(clustered.len(), 15);
-    }
-
-    #[test]
-    fn from_centers_rejects_empty() {
-        let (xs, ys) = wave_dataset(50, 3);
-        assert!(RbfNetwork::from_centers(&xs, &ys, vec![]).is_err());
     }
 
     #[test]

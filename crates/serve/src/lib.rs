@@ -74,7 +74,7 @@ pub mod stats;
 
 pub use protocol::{
     ArtifactKind, CombinationMode, EngineKind, ErrorKind, ErrorResponse, ForecastRequest,
-    ForecastResponse, ModelInfo, ReloadRequest, ReloadResponse, WindowDetail,
+    ForecastResponse, ModelInfo, ReloadResponse, WindowDetail,
 };
 pub use registry::{ModelEntry, ModelRegistry, RegistryError};
 pub use server::{Server, ServerConfig};

@@ -41,7 +41,7 @@ pub enum CombinationMode {
 
 impl CombinationMode {
     /// Lower to the core combination strategy.
-    pub fn to_core(self) -> evoforecast_core::Combination {
+    pub(crate) fn to_core(self) -> evoforecast_core::Combination {
         match self {
             CombinationMode::Mean => evoforecast_core::Combination::Mean,
             CombinationMode::InverseErrorWeighted => {
@@ -111,7 +111,7 @@ pub struct ForecastResponse {
 
 /// `POST /reload` body: swap a model slot from an on-disk artifact.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ReloadRequest {
+pub(crate) struct ReloadRequest {
     /// Slot to (re)load.
     #[serde(default = "default_model")]
     pub model: String,

@@ -42,7 +42,7 @@ impl ModelEntry {
     }
 
     /// Introspection row for `GET /models`.
-    pub fn info(&self) -> ModelInfo {
+    pub(crate) fn info(&self) -> ModelInfo {
         ModelInfo {
             name: self.name.clone(),
             version: self.version,

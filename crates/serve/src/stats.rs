@@ -44,7 +44,7 @@ impl LatencyHistogram {
 
     /// Upper bound (µs) of the bucket holding the `q`-quantile observation,
     /// or 0 when nothing was recorded. `q` is clamped to `[0, 1]`.
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_upper_bound(&self, q: f64) -> u64 {
         let counts: Vec<u64> = self
             .buckets
             .iter()
@@ -93,7 +93,7 @@ pub struct ServerStats {
 
 impl ServerStats {
     /// Bump a counter by one.
-    pub fn inc(counter: &AtomicU64) {
+    pub(crate) fn inc(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 

@@ -7,6 +7,7 @@ mod common;
 
 use common::{get, parse_reply, post, raw_round_trip, start_server};
 use evoforecast_core::prelude::{ModelMetadata, TrainedModel};
+use evoforecast_core::rule::Gene;
 use evoforecast_core::RuleSetPredictor;
 use evoforecast_serve::server::ServerConfig;
 use evoforecast_serve::{EngineKind, ErrorKind, ForecastResponse};
@@ -345,6 +346,49 @@ fn malformed_artifact_is_refused_and_workers_survive() {
         assert_eq!(resp.predictions, vec![Some(42.0)]);
         assert_eq!(resp.model_version, 1);
     }
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn inverted_gene_artifact_is_refused_by_a_single_worker_server() {
+    // A gene whose lower bound exceeds its upper bound. Compiling it used to
+    // panic the one worker, leaving the reload and every later forecast
+    // unanswered.
+    let model = TrainedModel::new(
+        common::spec(),
+        common::flat_predictor(8.0),
+        ModelMetadata::default(),
+    );
+    let json = serde_json::to_string(&model).unwrap();
+    let gene = serde_json::to_string(&Gene::bounded(0.0, 100.0)).unwrap();
+    let inverted = serde_json::to_string(&Gene::Bounded { lo: 100.0, hi: 0.0 }).unwrap();
+    assert!(json.contains(&gene), "{json}");
+    let dir = std::env::temp_dir().join(format!("evoforecast_inverted_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("inverted_gene.json");
+    std::fs::write(&path, json.replacen(&gene, &inverted, 1)).unwrap();
+
+    let server = start_server(
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+        42.0,
+    );
+    let addr = server.local_addr();
+    let r = post(
+        addr,
+        "/reload",
+        &format!(r#"{{"path": {:?}}}"#, path.display().to_string()),
+    );
+    assert_eq!(r.status, 422, "{}", r.body);
+    assert_eq!(r.error_kind(), ErrorKind::ReloadFailed);
+
+    let r = post(addr, "/forecast", r#"{"windows": [[1.0, 2.0]]}"#);
+    assert_eq!(r.status, 200, "{}", r.body);
+    let resp: ForecastResponse = serde_json::from_str(&r.body).unwrap();
+    assert_eq!(resp.predictions, vec![Some(42.0)]);
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -21,8 +21,7 @@ pub enum DataError {
     },
     /// Invalid parameter (zero window length, bad split fraction, ...).
     InvalidParameter(String),
-    /// Normalization is impossible (constant series for min-max, zero
-    /// variance for z-score).
+    /// Normalization is impossible (a constant series for min-max).
     DegenerateRange,
     /// An I/O error wrapped from `std::io`.
     Io(std::io::Error),

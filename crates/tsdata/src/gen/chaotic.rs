@@ -29,7 +29,7 @@ pub fn logistic(n: usize, r: f64, x0: f64) -> TimeSeries {
 ///
 /// # Panics
 /// Panics when `n == 0`.
-pub fn henon(n: usize, a: f64, b: f64) -> TimeSeries {
+fn henon(n: usize, a: f64, b: f64) -> TimeSeries {
     assert!(n > 0, "need at least one sample");
     let (mut x, mut y) = (0.1_f64, 0.1_f64);
     let mut values = Vec::with_capacity(n);

@@ -104,7 +104,7 @@ impl SunspotGenerator {
 
     /// Number of months between January 1749 and March 1977 inclusive —
     /// the archive span the paper used (2739 months).
-    pub const PAPER_MONTHS: usize = (1977 - 1749) * 12 + 3;
+    const PAPER_MONTHS: usize = (1977 - 1749) * 12 + 3;
 
     /// Months from January 1749 through December 1919 (training end).
     pub const TRAIN_MONTHS: usize = (1920 - 1749) * 12;

@@ -18,30 +18,6 @@ pub fn sine(n: usize, period: f64, amplitude: f64, offset: f64, phase: f64) -> T
     TimeSeries::new("sine", values).expect("sine output is finite")
 }
 
-/// Sum of sine components given as `(period, amplitude, phase)` triples.
-///
-/// # Panics
-/// Panics when `n == 0`, the component list is empty, or any period is
-/// non-positive.
-pub fn sum_of_sines(n: usize, components: &[(f64, f64, f64)], offset: f64) -> TimeSeries {
-    assert!(n > 0, "need at least one sample");
-    assert!(!components.is_empty(), "need at least one component");
-    assert!(
-        components.iter().all(|c| c.0 > 0.0),
-        "periods must be positive"
-    );
-    let values = (0..n)
-        .map(|t| {
-            offset
-                + components
-                    .iter()
-                    .map(|&(p, a, ph)| a * (std::f64::consts::TAU * t as f64 / p + ph).sin())
-                    .sum::<f64>()
-        })
-        .collect();
-    TimeSeries::new("sum-of-sines", values).expect("output is finite")
-}
-
 /// Sine wave plus Gaussian noise (Box-Muller).
 ///
 /// # Panics
@@ -60,23 +36,6 @@ pub fn noisy_sine(n: usize, period: f64, amplitude: f64, noise_std: f64, seed: u
         })
         .collect();
     TimeSeries::new("noisy-sine", values).expect("output is finite")
-}
-
-/// Pure white noise, `N(0, std²)`.
-///
-/// # Panics
-/// Panics when `n == 0`.
-pub fn white_noise(n: usize, std: f64, seed: u64) -> TimeSeries {
-    assert!(n > 0, "need at least one sample");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let values = (0..n)
-        .map(|_| {
-            let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-            let u2: f64 = rng.gen::<f64>();
-            std * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-        })
-        .collect();
-    TimeSeries::new("white-noise", values).expect("output is finite")
 }
 
 #[cfg(test)]
@@ -102,16 +61,6 @@ mod tests {
     }
 
     #[test]
-    fn sum_of_sines_superposes() {
-        let a = sine(100, 10.0, 1.0, 0.0, 0.0);
-        let b = sine(100, 25.0, 0.5, 0.0, 1.0);
-        let sum = sum_of_sines(100, &[(10.0, 1.0, 0.0), (25.0, 0.5, 1.0)], 0.0);
-        for i in 0..100 {
-            assert!((sum.values()[i] - a.values()[i] - b.values()[i]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn noisy_sine_variance_exceeds_clean() {
         let clean = sine(2000, 30.0, 1.0, 0.0, 0.0);
         let noisy = noisy_sine(2000, 30.0, 1.0, 0.5, 3);
@@ -129,24 +78,8 @@ mod tests {
     }
 
     #[test]
-    fn white_noise_statistics() {
-        let s = white_noise(20_000, 2.0, 8);
-        assert!(stats::mean(s.values()).unwrap().abs() < 0.1);
-        let sd = stats::std_dev(s.values()).unwrap();
-        assert!((sd - 2.0).abs() < 0.1, "std {sd}");
-        // Should be essentially uncorrelated.
-        assert!(s.autocorrelation(1).unwrap().abs() < 0.05);
-    }
-
-    #[test]
     #[should_panic(expected = "period must be positive")]
     fn sine_bad_period_panics() {
         sine(10, 0.0, 1.0, 0.0, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one component")]
-    fn sum_of_sines_empty_panics() {
-        sum_of_sines(10, &[], 0.0);
     }
 }

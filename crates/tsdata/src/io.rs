@@ -20,7 +20,7 @@ use std::path::Path;
 /// * [`DataError::NonFiniteInput`] when a cell parses as `nan`/`inf`, with
 ///   the offending line number,
 /// * [`DataError::EmptySeries`] / [`DataError::NonFinite`] from validation.
-pub fn read_series<R: Read>(name: &str, reader: R) -> Result<TimeSeries, DataError> {
+fn read_series<R: Read>(name: &str, reader: R) -> Result<TimeSeries, DataError> {
     let buf = BufReader::new(reader);
     let mut values = Vec::new();
     let mut line_buf = String::new();
@@ -55,10 +55,16 @@ pub fn read_series<R: Read>(name: &str, reader: R) -> Result<TimeSeries, DataErr
     TimeSeries::new(name, values)
 }
 
-/// Read a series from a file; the file stem becomes the series name.
+/// Read a series from a file: one float per line, or `index,value` pairs
+/// (the last comma-separated field is taken as the value). The file stem
+/// becomes the series name.
 ///
 /// # Errors
-/// See [`read_series`].
+/// * [`DataError::Io`] on open or read failure,
+/// * [`DataError::Parse`] with the offending line number,
+/// * [`DataError::NonFiniteInput`] when a cell parses as `nan`/`inf`, with
+///   the offending line number,
+/// * [`DataError::EmptySeries`] / [`DataError::NonFinite`] from validation.
 pub fn read_series_file(path: impl AsRef<Path>) -> Result<TimeSeries, DataError> {
     let path = path.as_ref();
     let name = path

@@ -3,8 +3,8 @@
 //! Everything the experiments consume lives here:
 //!
 //! * [`series::TimeSeries`] — the owned series container,
-//! * [`normalize`] — min-max and z-score scalers with exact inverses (the
-//!   paper standardizes Mackey-Glass and sunspots to `[0, 1]`),
+//! * [`normalize`] — the min-max scaler with its exact inverse (the paper
+//!   standardizes Mackey-Glass and sunspots to `[0, 1]`),
 //! * [`window`] — sliding-window datasets: `D` consecutive values predict the
 //!   value `τ` steps after the window, exactly the paper's encoding,
 //! * [`split`] — chronological train/validation splits,

@@ -9,26 +9,7 @@ use crate::error::DataError;
 use evoforecast_linalg::stats;
 use serde::{Deserialize, Serialize};
 
-/// A fitted, invertible elementwise transform.
-pub trait Scaler {
-    /// Transform one value into the normalized domain.
-    fn transform(&self, x: f64) -> f64;
-
-    /// Map a normalized value back to the original domain.
-    fn inverse(&self, y: f64) -> f64;
-
-    /// Transform a whole slice into a new vector.
-    fn transform_slice(&self, xs: &[f64]) -> Vec<f64> {
-        xs.iter().map(|&x| self.transform(x)).collect()
-    }
-
-    /// Inverse-transform a whole slice into a new vector.
-    fn inverse_slice(&self, ys: &[f64]) -> Vec<f64> {
-        ys.iter().map(|&y| self.inverse(y)).collect()
-    }
-}
-
-/// Affine map of `[min, max]` onto `[lo, hi]` (default `[0, 1]`).
+/// Affine map of `[min, max]` onto `[lo, hi]` (`[0, 1]` when fitted).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MinMaxScaler {
     data_min: f64,
@@ -44,21 +25,6 @@ impl MinMaxScaler {
     /// * [`DataError::EmptySeries`] for empty input,
     /// * [`DataError::DegenerateRange`] for constant input.
     pub fn fit(xs: &[f64]) -> Result<Self, DataError> {
-        Self::fit_to_range(xs, 0.0, 1.0)
-    }
-
-    /// Fit to data, mapping its range onto `[lo, hi]`.
-    ///
-    /// # Errors
-    /// * [`DataError::EmptySeries`] / [`DataError::DegenerateRange`] as in
-    ///   [`MinMaxScaler::fit`],
-    /// * [`DataError::InvalidParameter`] when `lo >= hi`.
-    pub fn fit_to_range(xs: &[f64], lo: f64, hi: f64) -> Result<Self, DataError> {
-        if lo >= hi {
-            return Err(DataError::InvalidParameter(format!(
-                "target range [{lo}, {hi}] is empty"
-            )));
-        }
         let (data_min, data_max) = stats::min_max(xs).ok_or(DataError::EmptySeries)?;
         if (data_max - data_min).abs() <= f64::EPSILON * data_max.abs().max(1.0) {
             return Err(DataError::DegenerateRange);
@@ -66,8 +32,8 @@ impl MinMaxScaler {
         Ok(MinMaxScaler {
             data_min,
             data_max,
-            target_lo: lo,
-            target_hi: hi,
+            target_lo: 0.0,
+            target_hi: 1.0,
         })
     }
 
@@ -89,84 +55,21 @@ impl MinMaxScaler {
         })
     }
 
-    /// Fitted data minimum.
-    pub fn data_min(&self) -> f64 {
-        self.data_min
-    }
-
-    /// Fitted data maximum.
-    pub fn data_max(&self) -> f64 {
-        self.data_max
-    }
-}
-
-impl Scaler for MinMaxScaler {
-    fn transform(&self, x: f64) -> f64 {
+    /// Transform one value into the normalized domain.
+    pub fn transform(&self, x: f64) -> f64 {
         let unit = (x - self.data_min) / (self.data_max - self.data_min);
         self.target_lo + unit * (self.target_hi - self.target_lo)
     }
 
-    fn inverse(&self, y: f64) -> f64 {
+    /// Map a normalized value back to the original domain.
+    pub fn inverse(&self, y: f64) -> f64 {
         let unit = (y - self.target_lo) / (self.target_hi - self.target_lo);
         self.data_min + unit * (self.data_max - self.data_min)
     }
-}
 
-/// Standardization to zero mean and unit variance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ZScoreScaler {
-    mean: f64,
-    std_dev: f64,
-}
-
-impl ZScoreScaler {
-    /// Fit to data.
-    ///
-    /// # Errors
-    /// * [`DataError::EmptySeries`] for empty input,
-    /// * [`DataError::DegenerateRange`] for (near-)constant input.
-    pub fn fit(xs: &[f64]) -> Result<Self, DataError> {
-        let mean = stats::mean(xs).ok_or(DataError::EmptySeries)?;
-        let std_dev = stats::std_dev(xs).ok_or(DataError::EmptySeries)?;
-        if std_dev <= f64::EPSILON * mean.abs().max(1.0) {
-            return Err(DataError::DegenerateRange);
-        }
-        Ok(ZScoreScaler { mean, std_dev })
-    }
-
-    /// Fitted mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Fitted standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.std_dev
-    }
-}
-
-impl Scaler for ZScoreScaler {
-    fn transform(&self, x: f64) -> f64 {
-        (x - self.mean) / self.std_dev
-    }
-
-    fn inverse(&self, y: f64) -> f64 {
-        y * self.std_dev + self.mean
-    }
-}
-
-/// The identity transform — lets experiment code take a `&dyn Scaler`
-/// uniformly even when a series stays in physical units (Venice cm).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IdentityScaler;
-
-impl Scaler for IdentityScaler {
-    fn transform(&self, x: f64) -> f64 {
-        x
-    }
-
-    fn inverse(&self, y: f64) -> f64 {
-        y
+    /// Transform a whole slice into a new vector.
+    pub fn transform_slice(&self, xs: &[f64]) -> Vec<f64> {
+        xs.iter().map(|&x| self.transform(x)).collect()
     }
 }
 
@@ -181,16 +84,7 @@ mod tests {
         assert_eq!(s.transform(2.0), 0.0);
         assert_eq!(s.transform(6.0), 1.0);
         assert_eq!(s.transform(4.0), 0.5);
-        assert_eq!(s.data_min(), 2.0);
-        assert_eq!(s.data_max(), 6.0);
-    }
-
-    #[test]
-    fn minmax_custom_target_range() {
-        let s = MinMaxScaler::fit_to_range(&[0.0, 10.0], -1.0, 1.0).unwrap();
-        assert_eq!(s.transform(5.0), 0.0);
-        assert_eq!(s.transform(0.0), -1.0);
-        assert!(MinMaxScaler::fit_to_range(&[0.0, 1.0], 1.0, 1.0).is_err());
+        assert_eq!((s.data_min, s.data_max), (2.0, 6.0));
     }
 
     #[test]
@@ -216,38 +110,10 @@ mod tests {
     }
 
     #[test]
-    fn zscore_standardizes() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let s = ZScoreScaler::fit(&xs).unwrap();
-        let t = s.transform_slice(&xs);
-        let mean: f64 = t.iter().sum::<f64>() / t.len() as f64;
-        let var: f64 = t.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / t.len() as f64;
-        assert!(mean.abs() < 1e-12);
-        assert!((var - 1.0).abs() < 1e-12);
-        assert!(matches!(
-            ZScoreScaler::fit(&[5.0, 5.0]),
-            Err(DataError::DegenerateRange)
-        ));
-        assert!(matches!(
-            ZScoreScaler::fit(&[]),
-            Err(DataError::EmptySeries)
-        ));
-    }
-
-    #[test]
-    fn identity_is_identity() {
-        let s = IdentityScaler;
-        assert_eq!(s.transform(3.25), 3.25);
-        assert_eq!(s.inverse(-7.5), -7.5);
-    }
-
-    #[test]
     fn slice_helpers() {
         let s = MinMaxScaler::fit(&[0.0, 2.0]).unwrap();
         let t = s.transform_slice(&[0.0, 1.0, 2.0]);
         assert_eq!(t, vec![0.0, 0.5, 1.0]);
-        let back = s.inverse_slice(&t);
-        assert_eq!(back, vec![0.0, 1.0, 2.0]);
     }
 
     proptest! {
@@ -258,7 +124,7 @@ mod tests {
         ) {
             prop_assume!(MinMaxScaler::fit(&v).is_ok());
             let s = MinMaxScaler::fit(&v).unwrap();
-            let scale = (s.data_max() - s.data_min()).abs().max(1.0);
+            let scale = (s.data_max - s.data_min).abs().max(1.0);
             prop_assert!((s.inverse(s.transform(probe)) - probe).abs() < 1e-7 * scale);
         }
 
@@ -272,16 +138,6 @@ mod tests {
                 let t = s.transform(x);
                 prop_assert!((-1e-9..=1.0 + 1e-9).contains(&t));
             }
-        }
-
-        #[test]
-        fn zscore_round_trips(
-            v in proptest::collection::vec(-1e4..1e4f64, 2..64),
-            probe in -1e4..1e4f64,
-        ) {
-            prop_assume!(ZScoreScaler::fit(&v).is_ok());
-            let s = ZScoreScaler::fit(&v).unwrap();
-            prop_assert!((s.inverse(s.transform(probe)) - probe).abs() < 1e-6);
         }
 
         #[test]

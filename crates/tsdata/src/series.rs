@@ -75,7 +75,7 @@ impl TimeSeries {
     /// # Errors
     /// [`DataError::InvalidParameter`] when the range is empty or out of
     /// bounds.
-    pub fn slice(&self, start: usize, end: usize) -> Result<TimeSeries, DataError> {
+    fn slice(&self, start: usize, end: usize) -> Result<TimeSeries, DataError> {
         if start >= end || end > self.values.len() {
             return Err(DataError::InvalidParameter(format!(
                 "slice [{start}, {end}) invalid for series of length {}",
@@ -92,7 +92,7 @@ impl TimeSeries {
     ///
     /// # Errors
     /// [`DataError::InvalidParameter`] when fewer than `n + 1` points remain.
-    pub fn discard_prefix(&self, n: usize) -> Result<TimeSeries, DataError> {
+    pub(crate) fn discard_prefix(&self, n: usize) -> Result<TimeSeries, DataError> {
         if n >= self.values.len() {
             return Err(DataError::InvalidParameter(format!(
                 "cannot discard {n} of {} points",

@@ -126,7 +126,8 @@ mod tests {
 
     #[test]
     fn white_noise_has_no_dominant_band() {
-        let s = waves::white_noise(4096, 1.0, 9);
+        // A zero-amplitude noisy sine is pure N(0, 1) white noise.
+        let s = waves::noisy_sine(4096, 50.0, 0.0, 1.0, 9);
         // No band of width ~10% of the spectrum should hold >15% of power.
         let frac = band_power_fraction(&s, 30.0, 40.0).unwrap();
         assert!(frac < 0.15, "noise band fraction {frac}");

@@ -7,7 +7,7 @@
 
 use evoforecast::core::prelude::*;
 use evoforecast::tsdata::gen::mackey_glass::MackeyGlass;
-use evoforecast::tsdata::normalize::{MinMaxScaler, Scaler};
+use evoforecast::tsdata::normalize::MinMaxScaler;
 use evoforecast::tsdata::window::WindowSpec;
 
 const HORIZON: usize = 50;

@@ -8,7 +8,7 @@
 use evoforecast::core::prelude::*;
 use evoforecast::metrics::PairedErrors;
 use evoforecast::tsdata::gen::sunspot::SunspotGenerator;
-use evoforecast::tsdata::normalize::{MinMaxScaler, Scaler};
+use evoforecast::tsdata::normalize::MinMaxScaler;
 use evoforecast::tsdata::window::WindowSpec;
 
 const D: usize = 24; // the paper: 24 monthly inputs

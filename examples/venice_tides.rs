@@ -10,7 +10,7 @@ use evoforecast::metrics::PairedErrors;
 use evoforecast::neural::mlp::{Mlp, MlpConfig};
 use evoforecast::neural::Forecaster;
 use evoforecast::tsdata::gen::venice::VeniceTide;
-use evoforecast::tsdata::normalize::{MinMaxScaler, Scaler};
+use evoforecast::tsdata::normalize::MinMaxScaler;
 use evoforecast::tsdata::window::WindowSpec;
 
 const D: usize = 24; // the paper: 24 consecutive hourly measures

@@ -10,7 +10,7 @@ use evoforecast::neural::rbf::RbfNetwork;
 use evoforecast::neural::Forecaster;
 use evoforecast::tsdata::gen::mackey_glass::MackeyGlass;
 use evoforecast::tsdata::gen::venice::VeniceTide;
-use evoforecast::tsdata::normalize::{MinMaxScaler, Scaler};
+use evoforecast::tsdata::normalize::MinMaxScaler;
 use evoforecast::tsdata::split::split_at;
 use evoforecast::tsdata::window::WindowSpec;
 

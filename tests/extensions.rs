@@ -10,7 +10,7 @@ use evoforecast::neural::Forecaster;
 use evoforecast::tsdata::gaps::{fill_gaps, gap_stats, FillStrategy};
 use evoforecast::tsdata::gen::mackey_glass::MackeyGlass;
 use evoforecast::tsdata::gen::waves::noisy_sine;
-use evoforecast::tsdata::normalize::{MinMaxScaler, Scaler};
+use evoforecast::tsdata::normalize::MinMaxScaler;
 use evoforecast::tsdata::split::split_at;
 use evoforecast::tsdata::window::WindowSpec;
 use rand::Rng;
