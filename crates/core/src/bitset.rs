@@ -66,6 +66,14 @@ impl MatchBitset {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Fraction of the universe that is set (`0.0` for an empty universe).
+    pub(crate) fn fraction_set(&self) -> f64 {
+        if self.len == 0 {
+            return 0.0;
+        }
+        self.count_ones() as f64 / self.len as f64
+    }
+
     /// True when every window in the universe is a member.
     pub fn all_set(&self) -> bool {
         self.count_ones() == self.len
@@ -170,10 +178,9 @@ impl MatchBitset {
         }
     }
 
-    /// Raw word view — the chunked accumulation kernel and checkpoint
-    /// serialization ([`crate::checkpoint::EnsembleCheckpoint::covered_words`])
-    /// read the universe as packed `u64`s.
-    pub fn words(&self) -> &[u64] {
+    /// Raw word view — the chunked accumulation kernel reads the universe
+    /// as packed `u64`s.
+    pub(crate) fn words(&self) -> &[u64] {
         &self.words
     }
 

@@ -3,12 +3,13 @@
 //! The paper's solution is the union of rule sets from many independent
 //! executions (§3.4), so a production run is a long campaign of waves — and
 //! partial progress must survive a killed process. After every wave the
-//! supervisor serializes the merged rule set, the coverage-bitset union, the
-//! per-execution seed/outcome ledger and a fingerprint of the
+//! supervisor serializes the merged rule set, the per-execution seed/outcome
+//! ledger, the number of training windows and a fingerprint of the
 //! [`crate::config::EnsembleConfig`] to a checkpoint file;
 //! [`crate::supervisor::Supervisor::run_resumable`] restarts from the last
 //! completed wave and produces a predictor bit-identical to an uninterrupted
-//! run.
+//! run. Coverage is not stored: a resume folds the restored rules over the
+//! training windows again, so it has one definition and nothing to corrupt.
 //!
 //! The format is JSON with an explicit `version` field; a file that fails
 //! the typed parse is probed for that field alone, so a future layout change
@@ -17,15 +18,15 @@
 //! Writes go through a temp file + rename so a crash mid-write never leaves
 //! a truncated checkpoint behind.
 
-use crate::bitset::MatchBitset;
 use crate::predict::check_rule_shapes;
 use crate::rule::Rule;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
 
-/// Current checkpoint layout version.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// Current checkpoint layout version. Version 3 dropped the stored coverage
+/// union (`covered_words`, `folded_rules`).
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Why a checkpoint could not be written, read, or trusted.
 #[derive(Debug)]
@@ -135,53 +136,17 @@ pub struct EnsembleCheckpoint {
     pub outcomes: Vec<ExecutionOutcome>,
     /// Merged viable rules so far, in slot order.
     pub rules: Vec<Rule>,
-    /// Number of merged rules already folded into the coverage union.
-    pub folded_rules: usize,
-    /// Number of training windows (the coverage-bitset universe).
+    /// Number of training windows (the coverage universe); a resume on
+    /// training data of another length is refused.
     pub coverage_len: usize,
-    /// Raw words of the coverage-bitset union.
-    pub covered_words: Vec<u64>,
 }
 
 impl EnsembleCheckpoint {
-    /// Rebuild the coverage union bitset recorded in this checkpoint.
-    ///
-    /// # Errors
-    /// [`CheckpointError::Corrupt`] when the stored word count disagrees
-    /// with `coverage_len`, or when a bit at or past `coverage_len` is set.
-    pub fn covered_bits(&self) -> Result<MatchBitset, CheckpointError> {
-        let mut bits = MatchBitset::new(self.coverage_len);
-        if bits.words().len() != self.covered_words.len() {
-            return Err(CheckpointError::Corrupt(format!(
-                "{} coverage words stored but {} windows need {}",
-                self.covered_words.len(),
-                self.coverage_len,
-                bits.words().len()
-            )));
-        }
-        let tail = self.coverage_len % 64;
-        let stray = match self.covered_words.last() {
-            Some(&last) if tail != 0 => last >> tail,
-            _ => 0,
-        };
-        if stray != 0 {
-            return Err(CheckpointError::Corrupt(format!(
-                "coverage bits set at or past window {}",
-                self.coverage_len
-            )));
-        }
-        bits.words_mut().copy_from_slice(&self.covered_words);
-        Ok(bits)
-    }
-
     /// Check this checkpoint against the resuming run's configuration
-    /// fingerprint and training-window count, and its coverage bookkeeping
-    /// against its own rule list.
+    /// fingerprint and training-window count.
     ///
     /// # Errors
-    /// [`CheckpointError::FingerprintMismatch`] / `UniverseMismatch`;
-    /// `Corrupt` when more rules are marked folded into the coverage union
-    /// than the checkpoint holds.
+    /// [`CheckpointError::FingerprintMismatch`] / `UniverseMismatch`.
     pub fn validate(&self, fingerprint: u64, n_windows: usize) -> Result<(), CheckpointError> {
         if self.config_fingerprint != fingerprint {
             return Err(CheckpointError::FingerprintMismatch {
@@ -194,13 +159,6 @@ impl EnsembleCheckpoint {
                 found: self.coverage_len,
                 expected: n_windows,
             });
-        }
-        if self.folded_rules > self.rules.len() {
-            return Err(CheckpointError::Corrupt(format!(
-                "{} rules marked folded into the coverage union but only {} stored",
-                self.folded_rules,
-                self.rules.len()
-            )));
         }
         Ok(())
     }
@@ -299,10 +257,6 @@ mod tests {
             error: 0.125,
             matched: 4,
         };
-        let mut bits = MatchBitset::new(130);
-        bits.set(0);
-        bits.set(64);
-        bits.set(129);
         EnsembleCheckpoint {
             version: CHECKPOINT_VERSION,
             config_fingerprint: 0xDEAD_BEEF,
@@ -315,9 +269,7 @@ mod tests {
                 status: OutcomeStatus::Completed,
             }],
             rules: vec![rule],
-            folded_rules: 1,
             coverage_len: 130,
-            covered_words: bits.words().to_vec(),
         }
     }
 
@@ -343,38 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn covered_bits_reconstructs_the_union() {
-        let cp = sample();
-        let bits = cp.covered_bits().unwrap();
-        assert_eq!(bits.to_indices(), vec![0, 64, 129]);
-
-        let mut bad = cp;
-        bad.covered_words.pop();
-        assert!(matches!(
-            bad.covered_bits(),
-            Err(CheckpointError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn covered_bits_rejects_bits_past_the_universe() {
-        // 130 windows: the last word holds windows 128 and 129 only. An
-        // all-ones word would report more covered windows than exist.
-        let mut cp = sample();
-        *cp.covered_words.last_mut().unwrap() = u64::MAX;
-        assert!(matches!(
-            cp.covered_bits(),
-            Err(CheckpointError::Corrupt(_))
-        ));
-        // Bits inside the universe are fine.
-        *cp.covered_words.last_mut().unwrap() = 0b11;
-        assert_eq!(
-            cp.covered_bits().unwrap().to_indices(),
-            vec![0, 64, 128, 129]
-        );
-    }
-
-    #[test]
     fn validate_rejects_foreign_runs() {
         let cp = sample();
         assert!(cp.validate(0xDEAD_BEEF, 130).is_ok());
@@ -389,30 +309,35 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_folded_rules_past_the_rule_list() {
-        let mut cp = sample();
-        cp.folded_rules = cp.rules.len() + 1;
-        assert!(matches!(
-            cp.validate(0xDEAD_BEEF, 130),
-            Err(CheckpointError::Corrupt(_))
-        ));
-        cp.folded_rules = cp.rules.len();
-        assert!(cp.validate(0xDEAD_BEEF, 130).is_ok());
-    }
-
-    #[test]
-    fn version_1_checkpoints_are_refused() {
+    fn version_1_and_2_checkpoints_are_refused() {
         // Version 1 serialized the speed flags into the configuration
-        // fingerprint; its files must not resume under the version-2 layout.
-        let path = temp_path("version_1.json");
-        let mut cp = sample();
-        cp.version = 1;
-        cp.save(&path).unwrap();
+        // fingerprint; version 2 stored the coverage union beside the rules.
+        // Neither resumes under the version-3 layout, whether or not the
+        // file still carries the old coverage fields.
+        let path = temp_path("old_versions.json");
+        for found in [1, 2] {
+            let mut cp = sample();
+            cp.version = found;
+            cp.save(&path).unwrap();
+            assert!(matches!(
+                EnsembleCheckpoint::load(&path),
+                Err(CheckpointError::VersionMismatch { found: f, expected: 3 }) if f == found
+            ));
+        }
+        let v2 = serde_json::to_string(&sample())
+            .unwrap()
+            .replace("\"version\":3", "\"version\":2")
+            .replace(
+                "\"coverage_len\":130",
+                "\"folded_rules\":1,\"coverage_len\":130,\"covered_words\":[1,0,2]",
+            );
+        assert!(v2.contains("covered_words"), "{v2}");
+        std::fs::write(&path, v2).unwrap();
         assert!(matches!(
             EnsembleCheckpoint::load(&path),
             Err(CheckpointError::VersionMismatch {
-                found: 1,
-                expected: 2
+                found: 2,
+                expected: 3
             })
         ));
         std::fs::remove_file(&path).ok();

@@ -139,10 +139,11 @@ impl CompiledRuleSet {
     /// Lower a predictor into compiled form. `O(D · R log R)` build time.
     ///
     /// # Panics
-    /// Panics when the rules do not fit together — mixed window lengths, or
-    /// a coefficient count that differs from the condition length. Loading
-    /// an artifact rejects both, so only a rule set built in code can get
-    /// here.
+    /// Panics when the rules do not fit together — a malformed gene, a
+    /// non-finite number, a coefficient count that differs from the
+    /// condition length, or mixed window lengths. Loading an artifact refuses
+    /// such rules and [`RuleSetPredictor::new`] drops them, so only
+    /// `with_all_rules` or `merge` on unchecked rules can get here.
     pub fn compile(predictor: &RuleSetPredictor) -> CompiledRuleSet {
         let rules = predictor.rules();
         assert_eq!(
@@ -415,7 +416,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "malformed rule set")]
     fn mixed_dims_panic() {
-        let p = RuleSetPredictor::new(vec![
+        // `new` drops the second rule; only an unfiltered set can mix.
+        let p = RuleSetPredictor::with_all_rules(vec![
             band(0.0, 1.0, 1.0, 0.1),
             rule(
                 vec![Gene::bounded(0.0, 1.0), Gene::Wildcard],

@@ -15,7 +15,9 @@
 //! Results are bit-identical to matching every window against the whole
 //! condition: the literal transcription of §3.1–3.3 in
 //! `tests/common/train.rs` pins every rule, match set and the training
-//! coverage to that, generation by generation.
+//! coverage to that, generation by generation. The engine stores no coverage:
+//! [`GenericEngine::training_coverage`] folds the viable rules when asked,
+//! and nothing in the generation loop reads it.
 //!
 //! Evaluation follows the AND: match → victim → bound → fit → replace. The
 //! crowding victim depends only on the offspring's scalar prediction `p`, the
@@ -33,6 +35,7 @@ use crate::config::EngineConfig;
 use crate::dataset::{self, ColumnStore, ExampleSet};
 use crate::error::EvoError;
 use crate::population::{GeneBitsets, Individual, Population};
+use crate::predict::coverage_fraction;
 use crate::regress::{count_and_prediction, fit_via_bitset, rule_from_parts};
 use crate::rule::{Condition, Gene, Rule};
 use crate::{crossover, init, mutation, replacement, selection};
@@ -64,15 +67,6 @@ pub struct GenericEngine<E: ExampleSet> {
     config: EngineConfig,
     data: E,
     population: Population,
-    /// `match_sets[k]` = training windows matched by individual `k`'s
-    /// condition, kept in lockstep with the population by [`Self::step`].
-    match_sets: Vec<MatchBitset>,
-    /// Per-window count of *viable* rules matching it (the coverage
-    /// denominator is `data.len()`). Updated incrementally on replacement.
-    viable_counts: Vec<u32>,
-    /// Number of windows with `viable_counts > 0` — the coverage numerator,
-    /// maintained so [`Self::training_coverage`] is `O(1)`.
-    covered: usize,
     /// Delta-evaluation state.
     delta: DeltaState,
     rng: ChaCha8Rng,
@@ -80,10 +74,11 @@ pub struct GenericEngine<E: ExampleSet> {
 }
 
 /// State of the delta evaluation path: the columnar data view, one
-/// [`GeneBitsets`] per population slot (lockstep with `match_sets`), and the
-/// offspring's match-set buffers, which are swapped into a population slot
-/// on replacement instead of being reallocated. (The refit, when it runs,
-/// still allocates; see [`GenericEngine::offspring_delta`].)
+/// [`GeneBitsets`] per population slot, and the offspring's buffers. The
+/// offspring's gene bitsets are swapped into the victim's slot on
+/// replacement instead of being reallocated; its full match set is scratch,
+/// rebuilt by the next generation's AND. (The refit, when it runs, still
+/// allocates; see [`GenericEngine::offspring_delta`].)
 #[derive(Debug)]
 struct DeltaState {
     columns: ColumnStore,
@@ -92,8 +87,7 @@ struct DeltaState {
     /// Offspring gene sets under construction; swapped into `gene_sets` on
     /// replacement.
     scratch_genes: GeneBitsets,
-    /// Offspring full match set; swapped into the engine's `match_sets` on
-    /// replacement.
+    /// Offspring full match set: the AND of `scratch_genes`.
     scratch_full: MatchBitset,
     /// Crossover provenance (`true` = gene inherited from parent `a`).
     from_a: Vec<bool>,
@@ -131,31 +125,21 @@ impl<E: ExampleSet> GenericEngine<E> {
         let conditions = init::initialize(config.init, &data, config.population_size, &mut rng);
         let mut stats = EngineStats::default();
         let mut individuals = Vec::with_capacity(conditions.len());
-        let mut match_sets = Vec::with_capacity(conditions.len());
         let mut gene_sets = Vec::with_capacity(conditions.len());
+        let mut full = MatchBitset::new(data.len());
         for c in conditions {
             stats.evaluations += 1;
             let gs = build_gene_sets(&c, &data, &columns);
-            let mut full = MatchBitset::new(data.len());
             gs.intersect_into(&mut full);
             individuals.push(evaluate(c, &full, &data, &config));
-            match_sets.push(full);
             gene_sets.push(gs);
-        }
-
-        let mut viable_counts = vec![0u32; data.len()];
-        let mut covered = 0usize;
-        for (ind, bits) in individuals.iter().zip(&match_sets) {
-            if !config.fitness.is_unfit(ind.fitness) {
-                add_coverage(&mut viable_counts, &mut covered, bits);
-            }
         }
 
         let delta = DeltaState {
             columns,
             gene_sets,
             scratch_genes: GeneBitsets::new(data.feature_len(), data.len()),
-            scratch_full: MatchBitset::new(data.len()),
+            scratch_full: full,
             from_a: Vec::new(),
             mutated: Vec::new(),
         };
@@ -163,9 +147,6 @@ impl<E: ExampleSet> GenericEngine<E> {
             config,
             data,
             population: Population::new(individuals),
-            match_sets,
-            viable_counts,
-            covered,
             delta,
             rng,
             stats,
@@ -200,9 +181,9 @@ impl<E: ExampleSet> GenericEngine<E> {
     /// comparison would reject it (see the module doc).
     ///
     /// The match-set buffers (per-gene bitsets and the full set) live in
-    /// [`DeltaState`] and are swapped — not cloned — into the population
-    /// slots on replacement, so they are never reallocated. A refit still
-    /// allocates: [`crate::parallel::accumulate_from_bitset`] makes one
+    /// [`DeltaState`]; the gene bitsets are swapped — not cloned — into the
+    /// victim's slot on replacement, so they are never reallocated. A refit
+    /// still allocates: [`crate::parallel::accumulate_from_bitset`] makes one
     /// `NormalEqAccumulator` (three `Vec`s) per chunk, the `Vec` of chunk
     /// parts and one row-pack block per call (per worker when parallel), and
     /// the solve allocates its system matrix, factor and coefficients.
@@ -275,27 +256,12 @@ impl<E: ExampleSet> GenericEngine<E> {
 
         let offspring = evaluate(child, scratch_full, &self.data, &self.config);
         debug_assert_eq!(offspring.rule.prediction.to_bits(), prediction.to_bits());
-        let victim_viable = !self.config.fitness.is_unfit(victim_fitness);
-        let offspring_viable = !self.config.fitness.is_unfit(offspring.fitness);
         let replaced = replacement::try_replace(&mut self.population, victim, offspring);
-
         if replaced {
-            // Swap scratch into the victim's slots: the stored slots now hold
-            // the offspring's sets, the scratch holds the victim's old ones —
-            // exactly what the coverage withdrawal below needs, and next
-            // generation overwrites every scratch gene anyway.
-            std::mem::swap(&mut self.match_sets[victim], scratch_full);
+            // The victim's slot takes the offspring's gene bitsets; the
+            // scratch takes the victim's old ones, which the next generation
+            // overwrites gene by gene.
             std::mem::swap(&mut gene_sets[victim], scratch_genes);
-            if victim_viable {
-                remove_coverage(&mut self.viable_counts, &mut self.covered, scratch_full);
-            }
-            if offspring_viable {
-                add_coverage(
-                    &mut self.viable_counts,
-                    &mut self.covered,
-                    &self.match_sets[victim],
-                );
-            }
         }
         replaced
     }
@@ -324,46 +290,33 @@ impl<E: ExampleSet> GenericEngine<E> {
         &self.config
     }
 
-    /// Fraction of training examples matched by at least one *viable* rule
-    /// (the coverage measure the ensemble stop-condition uses).
+    /// Fraction of training examples matched by at least one *viable* rule,
+    /// the measure the §3.4 ensemble stop condition applies to merged rule
+    /// sets (the supervisor computes its own over those; nothing in the
+    /// engine's loop reads this).
     ///
-    /// `O(1)`: the engine maintains per-window viable-match counts
-    /// incrementally on every crowding replacement, so this is a single
-    /// division, not a population sweep.
+    /// Folds the viable rules' conditions over the training windows with
+    /// the fold behind [`crate::RuleSetPredictor::coverage`], so each call
+    /// costs a population sweep; no coverage state is kept between calls.
     pub fn training_coverage(&self) -> f64 {
-        let n = self.data.len();
-        if n == 0 {
-            return 0.0;
-        }
-        self.covered as f64 / n as f64
+        let viable = self
+            .population
+            .individuals()
+            .iter()
+            .filter(|ind| !self.config.fitness.is_unfit(ind.fitness))
+            .map(|ind| &ind.rule);
+        coverage_fraction(viable, &self.data)
     }
 
-    /// The training windows matched by individual `k`'s condition.
+    /// The training windows matched by individual `k`'s condition: the AND
+    /// of its per-gene bitsets.
     ///
     /// # Panics
     /// When `k` is out of population range.
-    pub fn match_set(&self, k: usize) -> &MatchBitset {
-        &self.match_sets[k]
-    }
-}
-
-/// Count window `i` as covered by one more viable rule.
-fn add_coverage(counts: &mut [u32], covered: &mut usize, bits: &MatchBitset) {
-    for i in bits.iter_ones() {
-        counts[i] += 1;
-        if counts[i] == 1 {
-            *covered += 1;
-        }
-    }
-}
-
-/// Withdraw a viable rule's matches from the per-window counts.
-fn remove_coverage(counts: &mut [u32], covered: &mut usize, bits: &MatchBitset) {
-    for i in bits.iter_ones() {
-        counts[i] -= 1;
-        if counts[i] == 0 {
-            *covered -= 1;
-        }
+    pub fn match_set(&self, k: usize) -> MatchBitset {
+        let mut full = MatchBitset::new(self.data.len());
+        self.delta.gene_sets[k].intersect_into(&mut full);
+        full
     }
 }
 

@@ -4,7 +4,7 @@
 //! spacing — this envelope keeps them together through serialization.
 
 use crate::error::EvoError;
-use crate::predict::RuleSetPredictor;
+use crate::predict::{check_rule_shapes, RuleSetPredictor};
 use evoforecast_tsdata::window::{WindowSpec, WindowedDataset};
 use serde::de::Reader;
 use serde::{Deserialize, Serialize};
@@ -54,21 +54,31 @@ impl Deserialize for TrainedModel {
             predictor,
             metadata,
         } = SerializedModel::deserialize(r)?;
-        // The predictor's own check already gave every rule one length.
-        if let Some(rule) = predictor.rules().first() {
-            if rule.window_len() != spec.window() {
-                return Err(serde::Error::custom(format!(
-                    "rules have window length {}, the spec has {}",
-                    rule.window_len(),
-                    spec.window()
-                )));
-            }
-        }
+        TrainedModel::check_rules(&spec, &predictor).map_err(serde::Error::custom)?;
         Ok(TrainedModel::new(spec, predictor, metadata))
     }
 }
 
 impl TrainedModel {
+    /// The check every model loader applies: the rules fit together (well-formed
+    /// genes, finite numbers, one coefficient per gene, one window length)
+    /// and that window length is the spec's. A rule set that passes it
+    /// compiles and answers `spec`'s windows.
+    ///
+    /// # Errors
+    /// A message naming the first offending rule.
+    pub fn check_rules(spec: &WindowSpec, predictor: &RuleSetPredictor) -> Result<(), String> {
+        check_rule_shapes(predictor.rules())?;
+        match predictor.rules().first() {
+            Some(rule) if rule.window_len() != spec.window() => Err(format!(
+                "rules have window length {}, the spec has {}",
+                rule.window_len(),
+                spec.window()
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// Bundle a predictor with its spec and metadata.
     pub fn new(spec: WindowSpec, predictor: RuleSetPredictor, metadata: ModelMetadata) -> Self {
         TrainedModel {

@@ -100,7 +100,10 @@ where
 /// ([`NormalEqAccumulator::push_rows`]) into a fresh chunk accumulator, with
 /// one [`RowPack`] per call (sequential) or per worker (parallel); non-empty
 /// chunk accumulators then merge in ascending chunk order. Parallelized over
-/// chunks when the dataset has at least `threshold` windows.
+/// chunks when the dataset has at least `threshold` windows. The design
+/// always carries the intercept column (the paper's `a_D`); the options are
+/// not read here and stay in the signature for the benchmark's trace binary,
+/// which calls it.
 ///
 /// # Panics
 /// Panics (in debug builds) when the bitset universe differs from the
@@ -108,7 +111,7 @@ where
 pub fn accumulate_from_bitset<E: ExampleSet>(
     bits: &MatchBitset,
     data: &E,
-    opts: RegressionOptions,
+    _opts: RegressionOptions,
     threshold: usize,
 ) -> NormalEqAccumulator {
     let n = data.len();
@@ -119,7 +122,7 @@ pub fn accumulate_from_bitset<E: ExampleSet>(
     let chunk = |pack: &mut RowPack, c: usize| {
         let first = c * words_per_chunk;
         let chunk_words = &words[first..(first + words_per_chunk).min(words.len())];
-        let mut part = NormalEqAccumulator::new(d, opts.intercept);
+        let mut part = NormalEqAccumulator::new(d, true);
         part.push_rows(
             pack,
             ones_in_words(chunk_words, first).map(|i| {
@@ -139,7 +142,7 @@ pub fn accumulate_from_bitset<E: ExampleSet>(
     } else {
         map_ranges(chunks, RowPack::new, chunk)
     };
-    let mut acc = NormalEqAccumulator::new(d, opts.intercept);
+    let mut acc = NormalEqAccumulator::new(d, true);
     for part in parts.iter().filter(|part| part.count() > 0) {
         acc.merge(part);
     }

@@ -62,30 +62,35 @@ pub struct PredictionDetail {
 pub(crate) fn check_rule_shapes(rules: &[Rule]) -> Result<(), String> {
     let dims = rules.first().map_or(0, Rule::window_len);
     for (i, r) in rules.iter().enumerate() {
-        if let Some(g) = r.condition.genes().iter().position(|g| !g.is_well_formed()) {
-            return Err(format!(
-                "rule {i} gene {g} is not a wildcard or a finite interval with lo <= hi"
-            ));
-        }
-        let numbers = [r.intercept, r.prediction, r.error];
-        if !r.coefficients.iter().chain(&numbers).all(|x| x.is_finite()) {
-            return Err(format!(
-                "rule {i} has a non-finite coefficient, prediction or error"
-            ));
-        }
-        if r.coefficients.len() != r.window_len() {
-            return Err(format!(
-                "rule {i} has {} coefficients under a {}-gene condition",
-                r.coefficients.len(),
-                r.window_len()
-            ));
-        }
+        check_rule(r).map_err(|e| format!("rule {i} {e}"))?;
         if r.window_len() != dims {
             return Err(format!(
                 "rule {i} has window length {}, rule 0 has {dims}",
                 r.window_len()
             ));
         }
+    }
+    Ok(())
+}
+
+/// The per-rule half of [`check_rule_shapes`]: well-formed genes, finite
+/// numbers, one coefficient per gene.
+fn check_rule(r: &Rule) -> Result<(), String> {
+    if let Some(g) = r.condition.genes().iter().position(|g| !g.is_well_formed()) {
+        return Err(format!(
+            "gene {g} is not a wildcard or a finite interval with lo <= hi"
+        ));
+    }
+    let numbers = [r.intercept, r.prediction, r.error];
+    if !r.coefficients.iter().chain(&numbers).all(|x| x.is_finite()) {
+        return Err("has a non-finite coefficient, prediction or error".to_string());
+    }
+    if r.coefficients.len() != r.window_len() {
+        return Err(format!(
+            "has {} coefficients under a {}-gene condition",
+            r.coefficients.len(),
+            r.window_len()
+        ));
     }
     Ok(())
 }
@@ -133,15 +138,19 @@ impl Deserialize for RuleSetPredictor {
 impl RuleSetPredictor {
     /// Build from a rule set, keeping only *usable* rules: at least two
     /// matched training windows (the paper's `NR > 1` viability condition)
-    /// and a finite expected error. Rules that never matched anything carry
-    /// no information and would pollute the mean.
+    /// and the shape every artifact loader demands — well-formed genes,
+    /// finite coefficients, intercept, prediction and expected error, one
+    /// coefficient per gene, and the first kept rule's window length. Rules
+    /// that never matched anything carry no information and would pollute
+    /// the mean; malformed ones could not be evaluated at all.
     pub fn new(rules: Vec<Rule>) -> RuleSetPredictor {
-        RuleSetPredictor::with_all_rules(
-            rules
-                .into_iter()
-                .filter(|r| r.matched > 1 && r.error.is_finite())
-                .collect(),
-        )
+        let mut rules: Vec<Rule> = rules
+            .into_iter()
+            .filter(|r| r.matched > 1 && check_rule(r).is_ok())
+            .collect();
+        let dims = rules.first().map_or(0, Rule::window_len);
+        rules.retain(|r| r.window_len() == dims);
+        RuleSetPredictor::with_all_rules(rules)
     }
 
     /// Build without filtering (for diagnostics / serialization tests).
@@ -239,13 +248,7 @@ impl RuleSetPredictor {
 
     /// Fraction of a dataset's examples that receive a prediction.
     pub fn coverage<E: ExampleSet>(&self, data: &E) -> f64 {
-        let n = data.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let mut covered = MatchBitset::new(n);
-        fold_coverage(&mut covered, &self.rules, data);
-        covered.count_ones() as f64 / n as f64
+        coverage_fraction(&self.rules, data)
     }
 }
 
@@ -253,13 +256,32 @@ impl RuleSetPredictor {
 /// matches. Only windows no earlier rule has covered are re-tested, and the
 /// fold stops once every window is covered, so heavily overlapping rule sets
 /// cost far less than `rules × windows` condition tests.
-pub(crate) fn fold_coverage<E: ExampleSet>(covered: &mut MatchBitset, rules: &[Rule], data: &E) {
+///
+/// This is the one definition of coverage: the predictor, the engine, the
+/// supervisor's per-wave check (also on resume) and `CoverageMap` all fold
+/// through it, and none of them stores a coverage count beside the rules.
+pub(crate) fn fold_coverage<'r, E: ExampleSet>(
+    covered: &mut MatchBitset,
+    rules: impl IntoIterator<Item = &'r Rule>,
+    data: &E,
+) {
     for r in rules {
         if covered.all_set() {
             break;
         }
         covered.set_where_unset(|i| r.condition.matches(data.features(i)));
     }
+}
+
+/// Fraction of `data`'s windows that some rule in `rules` matches (`0.0` for
+/// an empty dataset).
+pub(crate) fn coverage_fraction<'r, E: ExampleSet>(
+    rules: impl IntoIterator<Item = &'r Rule>,
+    data: &E,
+) -> f64 {
+    let mut covered = MatchBitset::new(data.len());
+    fold_coverage(&mut covered, rules, data);
+    covered.fraction_set()
 }
 
 #[cfg(test)]
@@ -290,6 +312,42 @@ mod tests {
         assert!(!p.is_empty());
         let all = RuleSetPredictor::with_all_rules(vec![rule(0.0, 1.0, 1.0, 0.0, 0, 0.0)]);
         assert_eq!(all.len(), 1);
+    }
+
+    #[test]
+    fn new_drops_malformed_rules_instead_of_panicking_at_predict() {
+        let good = rule(0.0, 10.0, 0.0, 4.0, 3, 0.1);
+        let mut nan_coefficient = good.clone();
+        nan_coefficient.coefficients = vec![f64::NAN];
+        let mut infinite_intercept = good.clone();
+        infinite_intercept.intercept = f64::INFINITY;
+        let mut infinite_prediction = good.clone();
+        infinite_prediction.prediction = f64::NEG_INFINITY;
+        // `Condition::new` refuses an inverted gene; a parsed rule can hold one.
+        let inverted: Rule = serde_json::from_str(
+            &serde_json::to_string(&good)
+                .unwrap()
+                .replace("\"lo\":0.0,\"hi\":10.0", "\"lo\":5.0,\"hi\":1.0"),
+        )
+        .unwrap();
+        assert!(!inverted.condition.genes()[0].is_well_formed());
+        let mut extra_coefficient = good.clone();
+        extra_coefficient.coefficients = vec![1.0, 1.0];
+        let mut longer_window = good.clone();
+        longer_window.condition = Condition::new(vec![Gene::Wildcard, Gene::Wildcard]);
+        longer_window.coefficients = vec![0.0, 0.0];
+        for bad in [
+            nan_coefficient,
+            infinite_intercept,
+            infinite_prediction,
+            inverted,
+            extra_coefficient,
+            longer_window,
+        ] {
+            let p = RuleSetPredictor::new(vec![good.clone(), bad.clone()]);
+            assert_eq!(p.rules(), std::slice::from_ref(&good), "{bad:?}");
+            assert_eq!(p.predict(&[3.0]), Some(4.0));
+        }
     }
 
     #[test]

@@ -211,7 +211,7 @@ impl Rule {
     }
 
     /// Window length `D`.
-    pub fn window_len(&self) -> usize {
+    pub(crate) fn window_len(&self) -> usize {
         self.condition.len()
     }
 

@@ -9,9 +9,10 @@
 //! `WAVE_SIZE` runs on parallel worker threads; rule sets merge in slot
 //! order, so the final predictor does not depend on thread scheduling. Waves
 //! have a fixed size so the early-stopping decision (and therefore the
-//! result) does not depend on the machine's core count. After each wave the
-//! newly merged rules are folded into an incremental coverage union, and the
-//! campaign stops once it reaches the coverage target.
+//! result) does not depend on the machine's core count. Each slot's viable
+//! rules are folded into the coverage union as they merge, and the campaign
+//! stops once a wave leaves it at the coverage target. A resumed campaign
+//! rebuilds the union by folding the restored rules.
 //!
 //! One panicking worker or one killed process must not throw away every
 //! completed execution of a long campaign, so the [`Supervisor`] adds four
@@ -36,9 +37,10 @@
 //!    [`crate::checkpoint::EnsembleCheckpoint`] after every wave; a later
 //!    call resumes from the last completed wave and produces a predictor
 //!    bit-identical to an uninterrupted run.
-//! 4. **Deterministic fault injection** (`fault-injection` feature): a
-//!    [`FaultPlan`] kills chosen `(execution, attempt)` pairs so the retry
-//!    and merge paths are pinned by tests, not just exercised by luck.
+//! 4. **Deterministic fault injection** (`fault-injection` feature, this
+//!    crate's own tests only): a `FaultPlan` kills chosen
+//!    `(execution, attempt)` pairs so the retry and merge paths are pinned
+//!    by tests, not just exercised by luck.
 
 use crate::bitset::MatchBitset;
 use crate::checkpoint::{
@@ -191,14 +193,15 @@ pub fn execution_seed(base: u64, slot: usize, attempt: u32) -> u64 {
 /// feature — production builds carry no injection branch at all.
 #[cfg(feature = "fault-injection")]
 #[derive(Debug, Clone, Default)]
-pub struct FaultPlan {
+pub(crate) struct FaultPlan {
     kills: std::collections::BTreeSet<(usize, u32)>,
 }
 
 #[cfg(feature = "fault-injection")]
 impl FaultPlan {
     /// No faults.
-    pub fn new() -> FaultPlan {
+    #[cfg(test)]
+    pub(crate) fn new() -> FaultPlan {
         FaultPlan::default()
     }
 
@@ -296,8 +299,7 @@ impl Supervisor {
         let fingerprint = self.config.fingerprint();
 
         let mut predictor;
-        let mut covered_bits;
-        let mut folded_rules;
+        let mut covered = MatchBitset::new(n);
         let mut executions_done;
         let mut outcomes;
         match checkpoint {
@@ -312,8 +314,7 @@ impl Supervisor {
                     ))
                     .into());
                 }
-                covered_bits = cp.covered_bits()?;
-                folded_rules = cp.folded_rules;
+                fold_coverage(&mut covered, &cp.rules, &data);
                 executions_done = cp.executions_done;
                 outcomes = cp.outcomes;
                 // Checkpointed rules are the already-filtered merge result;
@@ -323,38 +324,41 @@ impl Supervisor {
             }
             _ => {
                 predictor = RuleSetPredictor::new(Vec::new());
-                covered_bits = MatchBitset::new(n);
-                folded_rules = 0;
                 executions_done = 0;
                 outcomes = Vec::new();
             }
         }
 
-        let mut coverage = if n == 0 {
-            0.0
-        } else {
-            covered_bits.count_ones() as f64 / n as f64
-        };
+        let mut coverage = covered.fraction_set();
         let mut degradation = None;
         let mut target_reached = executions_done > 0 && coverage >= self.config.coverage_target;
         let mut new_executions = 0usize;
+
+        // Serialize the merged state to the checkpoint, if any (atomic
+        // tmp + rename).
+        let save = |executions_done: usize,
+                    outcomes: &[ExecutionOutcome],
+                    predictor: &RuleSetPredictor|
+         -> Result<(), EvoError> {
+            if let Some(path) = checkpoint {
+                EnsembleCheckpoint {
+                    version: CHECKPOINT_VERSION,
+                    config_fingerprint: fingerprint,
+                    executions_done,
+                    outcomes: outcomes.to_vec(),
+                    rules: predictor.rules().to_vec(),
+                    coverage_len: n,
+                }
+                .save(path)?;
+            }
+            Ok(())
+        };
 
         // Write (or refresh) the state file before the first wave: this
         // fails fast on an unwritable path instead of after hours of work,
         // and guarantees a resumable file exists even when a budget expires
         // before any wave runs.
-        if let Some(path) = checkpoint {
-            write_checkpoint(
-                path,
-                fingerprint,
-                executions_done,
-                &outcomes,
-                &predictor,
-                folded_rules,
-                n,
-                &covered_bits,
-            )?;
-        }
+        save(executions_done, &outcomes, &predictor)?;
 
         while !target_reached && executions_done < self.config.max_executions {
             if let Some(cap) = self.budget.max_new_executions {
@@ -394,6 +398,9 @@ impl Supervisor {
                         let viable = RuleSetPredictor::new(rules)
                             .filter_by_error(self.config.engine.fitness.emax);
                         outcome.rules = viable.len();
+                        // Only still-uncovered windows are tested, so later
+                        // slots cost little once early ones cover the space.
+                        fold_coverage(&mut covered, viable.rules(), &data);
                         predictor.merge(viable);
                     }
                     Err(failure) => {
@@ -412,30 +419,8 @@ impl Supervisor {
             }
             executions_done += wave;
             new_executions += wave;
-
-            // Fold only the newly merged rules, and only into still-uncovered
-            // windows: the same union as `predictor.coverage(&data)`, much
-            // cheaper once early waves cover most of the space.
-            fold_coverage(&mut covered_bits, &predictor.rules()[folded_rules..], &data);
-            folded_rules = predictor.len();
-            coverage = if n == 0 {
-                0.0
-            } else {
-                covered_bits.count_ones() as f64 / n as f64
-            };
-
-            if let Some(path) = checkpoint {
-                write_checkpoint(
-                    path,
-                    fingerprint,
-                    executions_done,
-                    &outcomes,
-                    &predictor,
-                    folded_rules,
-                    n,
-                    &covered_bits,
-                )?;
-            }
+            coverage = covered.fraction_set();
+            save(executions_done, &outcomes, &predictor)?;
 
             if coverage >= self.config.coverage_target {
                 target_reached = true;
@@ -536,32 +521,6 @@ impl Supervisor {
             Err(payload) => Err(FailureKind::Panic(panic_message(payload.as_ref()))),
         }
     }
-}
-
-/// Serialize the supervisor's merged state to `path` (atomic tmp + rename).
-#[allow(clippy::too_many_arguments)]
-fn write_checkpoint(
-    path: &Path,
-    fingerprint: u64,
-    executions_done: usize,
-    outcomes: &[ExecutionOutcome],
-    predictor: &RuleSetPredictor,
-    folded_rules: usize,
-    n: usize,
-    covered_bits: &MatchBitset,
-) -> Result<(), EvoError> {
-    EnsembleCheckpoint {
-        version: CHECKPOINT_VERSION,
-        config_fingerprint: fingerprint,
-        executions_done,
-        outcomes: outcomes.to_vec(),
-        rules: predictor.rules().to_vec(),
-        folded_rules,
-        coverage_len: n,
-        covered_words: covered_bits.words().to_vec(),
-    }
-    .save(path)?;
-    Ok(())
 }
 
 /// Best-effort extraction of a panic payload's message (panics carry `&str`
@@ -684,7 +643,7 @@ mod tests {
 
     #[test]
     fn reported_coverage_equals_predictor_coverage() {
-        // The incremental bitset union must equal a from-scratch coverage
+        // The union folded slot by slot must equal a from-scratch coverage
         // sweep over the final merged predictor, bit for bit.
         let series = noisy_sine(300, 20.0, 1.0, 0.05, 12);
         let cfg = quick_config(series.values()).with_max_executions(8);
@@ -868,44 +827,6 @@ mod tests {
             err,
             EvoError::Checkpoint(CheckpointError::Corrupt(_))
         ));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn resume_rejects_corrupt_coverage_state() {
-        // Two hand-edited checkpoints that used to resume: one marks more
-        // rules folded than it holds (a slice panic on the next wave), one
-        // sets coverage bits past the last window (coverage above 1.0).
-        let series = noisy_sine(250, 20.0, 1.0, 0.05, 30);
-        let cfg = quick_config(series.values()).with_max_executions(4);
-        let sup = Supervisor::new(cfg.clone())
-            .unwrap()
-            .with_budget(RunBudget::default().with_wall_clock(Duration::ZERO));
-        let path = temp_path("corrupt_coverage.json");
-        std::fs::remove_file(&path).ok();
-        sup.run_resumable(series.values(), &path).unwrap();
-        let clean = EnsembleCheckpoint::load(&path).unwrap();
-        assert_ne!(
-            clean.coverage_len % 64,
-            0,
-            "test premise: a partial last word"
-        );
-
-        let mut overshoot = clean.clone();
-        overshoot.folded_rules = 1_000_000;
-        let mut stray_bits = clean;
-        *stray_bits.covered_words.last_mut().unwrap() = u64::MAX;
-        for corrupt in [overshoot, stray_bits] {
-            corrupt.save(&path).unwrap();
-            let err = Supervisor::new(cfg.clone())
-                .unwrap()
-                .run_resumable(series.values(), &path)
-                .unwrap_err();
-            assert!(
-                matches!(err, EvoError::Checkpoint(CheckpointError::Corrupt(_))),
-                "{err:?}"
-            );
-        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -39,9 +39,9 @@ pub fn matches<E: ExampleSet>(condition: &Condition, data: &E) -> Vec<usize> {
 pub fn derive_rule<E: ExampleSet>(condition: Condition, matched: &[usize], data: &E) -> Rule {
     let d = data.feature_len();
     let opts = RegressionOptions::fast();
-    let mut acc = NormalEqAccumulator::new(d, opts.intercept);
+    let mut acc = NormalEqAccumulator::new(d, true);
     for chunk in matched.chunk_by(|a, b| a / GRAM_CHUNK == b / GRAM_CHUNK) {
-        let mut part = NormalEqAccumulator::new(d, opts.intercept);
+        let mut part = NormalEqAccumulator::new(d, true);
         for &i in chunk {
             part.push_row(data.features(i), data.target(i));
         }

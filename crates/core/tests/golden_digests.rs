@@ -13,7 +13,7 @@
 //!   through the parallel chunk path of `core::parallel`.
 //! * `ensemble_run_*` drives [`Supervisor`] through two waves of
 //!   executions: seed schedule, viable-rule filter, slot-order merge and the
-//!   incremental coverage union. Its digest was computed with the former
+//!   coverage union folded slot by slot, which decides when it stops. Its digest was computed with the former
 //!   standalone ensemble trainer, which agreed with `Supervisor` bit for bit,
 //!   so this test carries that guarantee forward.
 

@@ -27,17 +27,12 @@ pub struct RegressionOptions {
     /// Ridge (Tikhonov) penalty, relative to the mean Gram diagonal; passed
     /// to [`NormalEqAccumulator::solve`].
     pub ridge_lambda: f64,
-    /// Fit an intercept column (the paper's `a_D` term). Almost always true.
-    pub intercept: bool,
 }
 
 impl RegressionOptions {
     /// Preset used by the evolutionary engine's offspring evaluation.
     pub fn fast() -> Self {
-        RegressionOptions {
-            ridge_lambda: 1e-6,
-            intercept: true,
-        }
+        RegressionOptions { ridge_lambda: 1e-6 }
     }
 }
 

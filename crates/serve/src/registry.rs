@@ -145,8 +145,10 @@ impl ModelRegistry {
     /// version when the slot already existed.
     ///
     /// # Errors
-    /// [`RegistryError::Artifact`] when the rule set is internally
-    /// inconsistent with the spec (mixed or wrong window lengths).
+    /// [`RegistryError::Artifact`] when the rule set fails the artifact
+    /// loaders' check ([`TrainedModel::check_rules`]): a malformed gene or
+    /// number, a coefficient count that differs from the gene count, or a
+    /// window length other than the spec's.
     pub fn install(
         &self,
         name: &str,
@@ -212,17 +214,7 @@ impl ModelRegistry {
         fingerprint: u64,
         grabbed: Option<Arc<ModelEntry>>,
     ) -> Result<Arc<ModelEntry>, RegistryError> {
-        if let Some(bad) = predictor
-            .rules()
-            .iter()
-            .find(|r| r.window_len() != spec.window())
-        {
-            return Err(RegistryError::Artifact(format!(
-                "rule with window length {} in a spec-{} model",
-                bad.window_len(),
-                spec.window()
-            )));
-        }
+        TrainedModel::check_rules(&spec, &predictor).map_err(RegistryError::Artifact)?;
         let compiled = CompiledRuleSet::compile(&predictor);
         // Poison recovery is safe for the same reason as `read_slots`: the
         // map is structurally valid at every instruction boundary.
@@ -327,6 +319,42 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, RegistryError::Artifact(_)), "{err}");
         assert!(reg.is_empty());
+    }
+
+    #[test]
+    fn install_refuses_malformed_rules_and_keeps_the_old_model() {
+        let reg = ModelRegistry::new();
+        reg.install("m", spec(), predictor(1.0)).unwrap();
+        let mut nan_coefficient = rule(0.0, 100.0, 2.0);
+        nan_coefficient.coefficients[1] = f64::NAN;
+        let mut infinite_intercept = rule(0.0, 100.0, 2.0);
+        infinite_intercept.intercept = f64::INFINITY;
+        // `Condition::new` refuses an inverted gene; a parsed rule can hold one.
+        let inverted: Rule = serde_json::from_str(
+            &serde_json::to_string(&rule(0.0, 100.0, 2.0))
+                .unwrap()
+                .replace("\"lo\":0.0,\"hi\":100.0", "\"lo\":9.0,\"hi\":1.0"),
+        )
+        .unwrap();
+        let mut short = rule(0.0, 100.0, 2.0);
+        short.coefficients.pop();
+        for (bad, why) in [
+            (nan_coefficient, "non-finite"),
+            (infinite_intercept, "non-finite"),
+            (inverted, "gene 0"),
+            (short, "1 coefficients"),
+        ] {
+            let err = reg
+                .install("m", spec(), RuleSetPredictor::with_all_rules(vec![bad]))
+                .unwrap_err();
+            assert!(
+                matches!(&err, RegistryError::Artifact(m) if m.contains(why)),
+                "{err}"
+            );
+        }
+        let entry = reg.get("m").unwrap();
+        assert_eq!(entry.version, 1);
+        assert_eq!(predict(&entry, &[1.0, 1.0]), Some(1.0));
     }
 
     #[test]

@@ -155,9 +155,7 @@ fn checkpoint_kind_is_a_typed_bad_request_and_the_old_model_keeps_serving() {
             error: 0.2,
             matched: 7,
         }],
-        folded_rules: 1,
         coverage_len: 0,
-        covered_words: vec![],
     }
     .save(&path)
     .unwrap();
