@@ -32,7 +32,7 @@
 //! property test there pins the equality.
 
 use crate::bitset::MatchBitset;
-use crate::predict::{check_rule_shapes, Combination, PredictionDetail, RuleSetPredictor};
+use crate::predict::{Combination, PredictionDetail, RuleSetPredictor};
 use crate::rule::Gene;
 use evoforecast_linalg::vector::dot_unchecked;
 
@@ -137,20 +137,9 @@ pub struct CompiledRuleSet {
 
 impl CompiledRuleSet {
     /// Lower a predictor into compiled form. `O(D · R log R)` build time.
-    ///
-    /// # Panics
-    /// Panics when the rules do not fit together — a malformed gene, a
-    /// non-finite number, a coefficient count that differs from the
-    /// condition length, or mixed window lengths. Loading an artifact refuses
-    /// such rules and [`RuleSetPredictor::new`] drops them, so only
-    /// `with_all_rules` or `merge` on unchecked rules can get here.
+    /// Total: a [`RuleSetPredictor`]'s rules always fit together.
     pub fn compile(predictor: &RuleSetPredictor) -> CompiledRuleSet {
         let rules = predictor.rules();
-        assert_eq!(
-            check_rule_shapes(rules),
-            Ok(()),
-            "cannot compile a malformed rule set"
-        );
         let rule_count = rules.len();
         let dims = rules.first().map_or(0, |r| r.window_len());
         let mut coefficients = Vec::with_capacity(rule_count * dims);
@@ -411,21 +400,5 @@ mod tests {
             compiled.predict_with_into(&[2.0], Combination::Mean, &mut scratch),
             Some(4.0)
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "malformed rule set")]
-    fn mixed_dims_panic() {
-        // `new` drops the second rule; only an unfiltered set can mix.
-        let p = RuleSetPredictor::with_all_rules(vec![
-            band(0.0, 1.0, 1.0, 0.1),
-            rule(
-                vec![Gene::bounded(0.0, 1.0), Gene::Wildcard],
-                vec![0.0, 0.0],
-                1.0,
-                0.1,
-            ),
-        ]);
-        CompiledRuleSet::compile(&p);
     }
 }

@@ -4,7 +4,7 @@
 //! spacing — this envelope keeps them together through serialization.
 
 use crate::error::EvoError;
-use crate::predict::{check_rule_shapes, RuleSetPredictor};
+use crate::predict::RuleSetPredictor;
 use evoforecast_tsdata::window::{WindowSpec, WindowedDataset};
 use serde::de::Reader;
 use serde::{Deserialize, Serialize};
@@ -60,15 +60,13 @@ impl Deserialize for TrainedModel {
 }
 
 impl TrainedModel {
-    /// The check every model loader applies: the rules fit together (well-formed
-    /// genes, finite numbers, one coefficient per gene, one window length)
-    /// and that window length is the spec's. A rule set that passes it
-    /// compiles and answers `spec`'s windows.
+    /// Check that the rules answer `spec`'s windows: their one window length
+    /// is the spec's. (A predictor's rules always fit together; see
+    /// [`RuleSetPredictor`].)
     ///
     /// # Errors
-    /// A message naming the first offending rule.
+    /// A message giving both window lengths.
     pub fn check_rules(spec: &WindowSpec, predictor: &RuleSetPredictor) -> Result<(), String> {
-        check_rule_shapes(predictor.rules())?;
         match predictor.rules().first() {
             Some(rule) if rule.window_len() != spec.window() => Err(format!(
                 "rules have window length {}, the spec has {}",

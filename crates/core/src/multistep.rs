@@ -17,7 +17,8 @@ pub struct FreeRun {
     pub predictions: Vec<f64>,
     /// Number of steps requested.
     pub requested: usize,
-    /// True when the run stopped early because the system abstained.
+    /// True when the run stopped early because the system abstained, that
+    /// is, when it produced fewer than `requested` steps.
     pub stopped_by_abstention: bool,
 }
 
@@ -30,11 +31,6 @@ impl FreeRun {
     /// True when no step succeeded.
     pub fn is_empty(&self) -> bool {
         self.predictions.is_empty()
-    }
-
-    /// Whether the run went the full requested distance.
-    pub fn completed(&self) -> bool {
-        self.predictions.len() == self.requested
     }
 }
 
@@ -51,35 +47,36 @@ impl FreeRun {
 /// # Panics
 /// Panics when `seed_window` length differs from the rules' window length.
 pub fn free_run(predictor: &RuleSetPredictor, seed_window: &[f64], steps: usize) -> FreeRun {
-    let d = seed_window.len();
     if let Some(rule) = predictor.rules().first() {
         assert_eq!(
-            d,
+            seed_window.len(),
             rule.window_len(),
             "seed window must have the rules' window length"
         );
     }
+    free_run_with(seed_window, steps, |window| predictor.predict(window))
+}
 
+/// The loop behind [`free_run`], over any per-window `predict` (the server
+/// passes its compiled rule set with a scratch bitset): slide each
+/// prediction into the window, and stop at the first abstention.
+pub fn free_run_with(
+    seed_window: &[f64],
+    steps: usize,
+    mut predict: impl FnMut(&[f64]) -> Option<f64>,
+) -> FreeRun {
     let mut window = seed_window.to_vec();
     let mut predictions = Vec::with_capacity(steps);
-    let mut stopped = false;
-    for _ in 0..steps {
-        match predictor.predict(&window) {
-            Some(p) => {
-                predictions.push(p);
-                window.rotate_left(1);
-                window[d - 1] = p;
-            }
-            None => {
-                stopped = true;
-                break;
-            }
-        }
+    while predictions.len() < steps {
+        let Some(p) = predict(&window) else { break };
+        predictions.push(p);
+        window.push(p);
+        window.remove(0);
     }
     FreeRun {
+        stopped_by_abstention: predictions.len() < steps,
         predictions,
         requested: steps,
-        stopped_by_abstention: stopped,
     }
 }
 
@@ -136,7 +133,6 @@ mod tests {
         let run = free_run(&p, &[0.5, 0.5], 10);
         assert_eq!(run.len(), 1);
         assert!(run.stopped_by_abstention);
-        assert!(!run.completed());
         assert_eq!(run.requested, 10);
         assert_eq!(run.predictions, vec![5.0]);
     }
@@ -146,10 +142,7 @@ mod tests {
         let (p, values) = trained_sine_predictor();
         let seed = &values[596..600];
         let run = free_run(&p, seed, 5);
-        if !run.stopped_by_abstention {
-            assert!(run.completed());
-            assert_eq!(run.len(), 5);
-        }
+        assert_eq!(run.stopped_by_abstention, run.len() < 5);
     }
 
     #[test]

@@ -97,6 +97,10 @@ fn check_rule(r: &Rule) -> Result<(), String> {
 
 /// A trained forecasting system: the union of all viable rules from one or
 /// more executions.
+///
+/// Its rules always fit together, in the sense of `check_rule_shapes`: each
+/// constructor checks them, keeps only those that pass, or starts from rules
+/// that passed. So compiling a predictor cannot fail.
 #[derive(Debug, Clone)]
 pub struct RuleSetPredictor {
     rules: Vec<Rule>,
@@ -124,14 +128,12 @@ struct SerializedRules {
     rules: Vec<Rule>,
 }
 
-/// Rejects a rule whose coefficient count differs from its condition length,
-/// and mixed window lengths, so a malformed artifact fails at load instead
-/// of at its first forecast.
+/// Refuses rules that do not fit together, naming the first offending rule,
+/// so a malformed artifact fails at load instead of at its first forecast.
 impl Deserialize for RuleSetPredictor {
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
         let SerializedRules { rules } = SerializedRules::deserialize(r)?;
-        check_rule_shapes(&rules).map_err(serde::Error::custom)?;
-        Ok(RuleSetPredictor::with_all_rules(rules))
+        RuleSetPredictor::with_all_rules(rules).map_err(serde::Error::custom)
     }
 }
 
@@ -150,11 +152,20 @@ impl RuleSetPredictor {
             .collect();
         let dims = rules.first().map_or(0, Rule::window_len);
         rules.retain(|r| r.window_len() == dims);
-        RuleSetPredictor::with_all_rules(rules)
+        RuleSetPredictor::from_checked(rules)
     }
 
-    /// Build without filtering (for diagnostics / serialization tests).
-    pub fn with_all_rules(rules: Vec<Rule>) -> RuleSetPredictor {
+    /// Build from every rule, without the viability filter.
+    ///
+    /// # Errors
+    /// [`check_rule_shapes`]' message when the rules do not fit together.
+    pub(crate) fn with_all_rules(rules: Vec<Rule>) -> Result<RuleSetPredictor, String> {
+        check_rule_shapes(&rules)?;
+        Ok(RuleSetPredictor::from_checked(rules))
+    }
+
+    /// Wrap rules that already fit together.
+    fn from_checked(rules: Vec<Rule>) -> RuleSetPredictor {
         RuleSetPredictor {
             rules,
             compiled: OnceLock::new(),
@@ -165,13 +176,9 @@ impl RuleSetPredictor {
     /// predictor-side analogue of the fitness function's `EMAX` cut. Rules
     /// that were unfit at the end of evolution (e.g. never replaced) would
     /// otherwise still contribute to the prediction mean.
-    pub fn filter_by_error(self, max_error: f64) -> RuleSetPredictor {
-        RuleSetPredictor::with_all_rules(
-            self.rules
-                .into_iter()
-                .filter(|r| r.error < max_error)
-                .collect(),
-        )
+    pub fn filter_by_error(mut self, max_error: f64) -> RuleSetPredictor {
+        self.rules.retain(|r| r.error < max_error);
+        RuleSetPredictor::from_checked(self.rules)
     }
 
     /// The retained rules.
@@ -191,8 +198,14 @@ impl RuleSetPredictor {
 
     /// Merge another predictor's rules into this one (ensemble union). The
     /// compiled form is rebuilt by the next predict, not here, so a campaign
-    /// merging wave after wave never compiles in between.
-    pub fn merge(&mut self, other: RuleSetPredictor) {
+    /// merging wave after wave never compiles in between. Both sets must
+    /// share one window length, as one campaign's executions do.
+    pub(crate) fn merge(&mut self, other: RuleSetPredictor) {
+        debug_assert!(
+            (self.rules.first().zip(other.rules.first()))
+                .is_none_or(|(a, b)| a.window_len() == b.window_len()),
+            "merged rule sets must share one window length"
+        );
         self.rules.extend(other.rules);
         self.compiled = OnceLock::new();
     }
@@ -310,13 +323,12 @@ mod tests {
         ]);
         assert_eq!(p.len(), 1);
         assert!(!p.is_empty());
-        let all = RuleSetPredictor::with_all_rules(vec![rule(0.0, 1.0, 1.0, 0.0, 0, 0.0)]);
-        assert_eq!(all.len(), 1);
     }
 
-    #[test]
-    fn new_drops_malformed_rules_instead_of_panicking_at_predict() {
-        let good = rule(0.0, 10.0, 0.0, 4.0, 3, 0.1);
+    /// Variants of the one-gene rule `good` that cannot sit beside it in a
+    /// rule set, each with the words `check_rule_shapes` uses to name the
+    /// fault when the variant is rule 1.
+    fn misfits(good: &Rule) -> Vec<(Rule, &'static str)> {
         let mut nan_coefficient = good.clone();
         nan_coefficient.coefficients = vec![f64::NAN];
         let mut infinite_intercept = good.clone();
@@ -325,7 +337,7 @@ mod tests {
         infinite_prediction.prediction = f64::NEG_INFINITY;
         // `Condition::new` refuses an inverted gene; a parsed rule can hold one.
         let inverted: Rule = serde_json::from_str(
-            &serde_json::to_string(&good)
+            &serde_json::to_string(good)
                 .unwrap()
                 .replace("\"lo\":0.0,\"hi\":10.0", "\"lo\":5.0,\"hi\":1.0"),
         )
@@ -333,21 +345,56 @@ mod tests {
         assert!(!inverted.condition.genes()[0].is_well_formed());
         let mut extra_coefficient = good.clone();
         extra_coefficient.coefficients = vec![1.0, 1.0];
+        let mut short_coefficients = good.clone();
+        short_coefficients.condition =
+            Condition::new(vec![Gene::bounded(0.0, 10.0), Gene::Wildcard]);
         let mut longer_window = good.clone();
         longer_window.condition = Condition::new(vec![Gene::Wildcard, Gene::Wildcard]);
         longer_window.coefficients = vec![0.0, 0.0];
-        for bad in [
-            nan_coefficient,
-            infinite_intercept,
-            infinite_prediction,
-            inverted,
-            extra_coefficient,
-            longer_window,
-        ] {
+        vec![
+            (nan_coefficient, "rule 1 has a non-finite"),
+            (infinite_intercept, "rule 1 has a non-finite"),
+            (infinite_prediction, "rule 1 has a non-finite"),
+            (inverted, "rule 1 gene 0 is not"),
+            (
+                extra_coefficient,
+                "rule 1 has 2 coefficients under a 1-gene",
+            ),
+            (
+                short_coefficients,
+                "rule 1 has 1 coefficients under a 2-gene",
+            ),
+            (longer_window, "rule 1 has window length 2, rule 0 has 1"),
+        ]
+    }
+
+    #[test]
+    fn new_drops_malformed_rules_instead_of_panicking_at_predict() {
+        let good = rule(0.0, 10.0, 0.0, 4.0, 3, 0.1);
+        for (bad, _) in misfits(&good) {
             let p = RuleSetPredictor::new(vec![good.clone(), bad.clone()]);
             assert_eq!(p.rules(), std::slice::from_ref(&good), "{bad:?}");
             assert_eq!(p.predict(&[3.0]), Some(4.0));
         }
+    }
+
+    #[test]
+    fn with_all_rules_and_deserialize_refuse_rules_that_do_not_fit_together() {
+        let good = rule(0.0, 10.0, 0.0, 4.0, 3, 0.1);
+        for (bad, why) in misfits(&good) {
+            let rules = vec![good.clone(), bad];
+            let err = RuleSetPredictor::with_all_rules(rules.clone()).unwrap_err();
+            assert!(err.contains(why), "{why}: {err}");
+            // Loading refuses the same set with the same words. A non-finite
+            // number is written as `null`, which reads back as NaN.
+            let json = format!(r#"{{"rules":{}}}"#, serde_json::to_string(&rules).unwrap());
+            let err = serde_json::from_str::<RuleSetPredictor>(&json).unwrap_err();
+            assert!(err.to_string().contains(why), "{why}: {err}");
+        }
+        // Rules that fit together are all kept, viable or not.
+        let unviable = rule(0.0, 1.0, 1.0, 0.0, 0, 0.0);
+        let all = RuleSetPredictor::with_all_rules(vec![good, unviable]).unwrap();
+        assert_eq!(all.len(), 2);
     }
 
     #[test]
@@ -503,25 +550,6 @@ mod tests {
         let back: RuleSetPredictor = serde_json::from_str(&json).unwrap();
         assert_eq!(back, p);
         assert_eq!(back.predict(&[4.0]), p.predict(&[4.0]));
-    }
-
-    #[test]
-    fn deserialize_rejects_rules_that_do_not_fit_together() {
-        let mut short = rule(0.0, 10.0, 2.0, 1.0, 3, 0.1);
-        short.condition = Condition::new(vec![Gene::bounded(0.0, 10.0), Gene::Wildcard]);
-        let mut wide = rule(0.0, 10.0, 2.0, 1.0, 3, 0.1);
-        wide.condition = Condition::new(vec![Gene::Wildcard, Gene::Wildcard]);
-        wide.coefficients = vec![1.0, 1.0];
-        for rules in [
-            // 1 coefficient under a 2-gene condition.
-            vec![rule(0.0, 10.0, 2.0, 1.0, 3, 0.1), short],
-            // Window lengths 1 and 2 in one set.
-            vec![rule(0.0, 10.0, 2.0, 1.0, 3, 0.1), wide],
-        ] {
-            let json = serde_json::to_string(&RuleSetPredictor::with_all_rules(rules)).unwrap();
-            let err = serde_json::from_str::<RuleSetPredictor>(&json).unwrap_err();
-            assert!(err.to_string().contains("rule 1"), "{err}");
-        }
     }
 
     #[test]

@@ -306,21 +306,22 @@ impl Supervisor {
             Some(path) if path.exists() => {
                 let cp = EnsembleCheckpoint::load(path)?;
                 cp.validate(fingerprint, n)?;
+                // Checkpointed rules are the already-filtered merge result;
+                // re-filtering would need per-rule state the file does not
+                // (and must not) carry.
+                predictor =
+                    RuleSetPredictor::with_all_rules(cp.rules).map_err(CheckpointError::Corrupt)?;
                 let d = data.feature_len();
-                if let Some(rule) = cp.rules.iter().find(|r| r.window_len() != d) {
+                if let Some(rule) = predictor.rules().first().filter(|r| r.window_len() != d) {
                     return Err(CheckpointError::Corrupt(format!(
-                        "checkpoint rule has window length {} but the run's is {d}",
+                        "checkpoint rules have window length {} but the run's is {d}",
                         rule.window_len()
                     ))
                     .into());
                 }
-                fold_coverage(&mut covered, &cp.rules, &data);
+                fold_coverage(&mut covered, predictor.rules(), &data);
                 executions_done = cp.executions_done;
                 outcomes = cp.outcomes;
-                // Checkpointed rules are the already-filtered merge result;
-                // re-filtering would need per-rule state the file does not
-                // (and must not) carry.
-                predictor = RuleSetPredictor::with_all_rules(cp.rules);
             }
             _ => {
                 predictor = RuleSetPredictor::new(Vec::new());

@@ -88,3 +88,58 @@ fn empty_rule_set_covers_nothing_and_always_abstains() {
     assert_eq!(predictor.coverage(&ds), 0.0);
     assert!(predictor.predict(&[1.0, 2.0, 3.0]).is_none());
 }
+
+#[test]
+fn quantized_series_trains_to_finite_rules_through_singular_grams() {
+    // Five levels: windows repeat many times over, and a gene whose interval
+    // holds one level makes its column constant, so it duplicates the
+    // intercept column and the rule's Gram is singular or nearly so.
+    let values: Vec<f64> = (0..600)
+        .map(|i| ((i as f64 * 0.37).sin() * 2.0).round())
+        .collect();
+    let ds = spec().dataset(&values).unwrap();
+    let distinct: std::collections::BTreeSet<Vec<u64>> = ds
+        .iter()
+        .map(|(w, _)| w.iter().map(|x| x.to_bits()).collect())
+        .collect();
+    assert!(
+        distinct.len() * 4 < ds.len(),
+        "test premise: windows repeat"
+    );
+
+    let engine = EngineConfig::for_series(&values, spec())
+        .with_population(30)
+        .with_generations(2_000)
+        .with_seed(19);
+    let rules = Engine::new(engine.clone(), &values).unwrap().run();
+    let viable: Vec<Rule> = rules.into_iter().filter(|r| r.matched > 1).collect();
+    let one_level = |g: &Gene| {
+        matches!(*g, Gene::Bounded { lo, hi }
+            if (-2..=2).filter(|&l| (lo..=hi).contains(&f64::from(l))).count() == 1)
+    };
+    assert!(
+        viable
+            .iter()
+            .any(|r| r.condition.genes().iter().any(one_level)),
+        "test premise: some rule has a constant column"
+    );
+    for r in &viable {
+        let numbers = [r.intercept, r.prediction, r.error];
+        assert!(
+            r.coefficients.iter().chain(&numbers).all(|x| x.is_finite()),
+            "{r:?}"
+        );
+    }
+    assert_eq!(RuleSetPredictor::new(viable.clone()).rules(), viable);
+
+    let supervisor = Supervisor::new(EnsembleConfig::new(engine).with_max_executions(2)).unwrap();
+    let (predictor, report) = supervisor.run(&values).unwrap();
+    assert!(!predictor.is_empty());
+    assert_eq!(RuleSetPredictor::new(predictor.rules().to_vec()), predictor);
+    assert!(report.training_coverage > 0.0);
+    for (w, _) in ds.iter() {
+        if let Some(p) = predictor.predict(w) {
+            assert!(p.is_finite(), "{w:?} -> {p}");
+        }
+    }
+}

@@ -21,6 +21,7 @@ use crate::protocol::{
 use crate::registry::{ModelEntry, ModelRegistry, RegistryError};
 use crate::stats::ServerStats;
 use crossbeam::channel::{self, TrySendError};
+use evoforecast_core::multistep::free_run_with;
 use serde::Serialize;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -420,22 +421,7 @@ fn predict_batch(req: &ForecastRequest, entry: &ModelEntry) -> ForecastResponse 
     let mut trajectories = (req.horizon > 1).then(|| Vec::with_capacity(req.windows.len()));
     for window in &req.windows {
         if let Some(trajs) = &mut trajectories {
-            // Closed-loop free run: slide the window by one per step, stop
-            // at the first abstention.
-            let mut rolling = window.clone();
-            let d = rolling.len();
-            let mut traj = Vec::with_capacity(req.horizon);
-            for _ in 0..req.horizon {
-                match single(&rolling) {
-                    Some(p) => {
-                        traj.push(p);
-                        rolling.rotate_left(1);
-                        // audit: allow(panic-freedom) — d == rolling.len() >= 1: validated non-empty at admission
-                        rolling[d - 1] = p;
-                    }
-                    None => break,
-                }
-            }
+            let traj = free_run_with(window, req.horizon, &mut single).predictions;
             predictions.push(traj.first().copied());
             trajs.push(traj);
         } else {

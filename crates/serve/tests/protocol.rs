@@ -312,19 +312,22 @@ fn scan_engine_is_a_typed_bad_request() {
 fn malformed_artifact_is_refused_and_workers_survive() {
     // The second rule has 1 coefficient under a 2-gene condition. Served,
     // the first forecast firing it would index past the coefficient table.
-    let mut short = common::flat_predictor(9.0).rules()[0].clone();
-    short.coefficients.truncate(1);
-    let rules = vec![common::flat_predictor(8.0).rules()[0].clone(), short];
+    let rules = [8.0, 9.0].map(|v| common::flat_predictor(v).rules()[0].clone());
+    let model = TrainedModel::new(
+        common::spec(),
+        RuleSetPredictor::new(rules.to_vec()),
+        ModelMetadata::default(),
+    );
+    let json = serde_json::to_string(&model).unwrap();
+    let (full, short) = (
+        r#""coefficients":[0.0,0.0],"intercept":9.0"#,
+        r#""coefficients":[0.0],"intercept":9.0"#,
+    );
+    assert!(json.contains(full), "{json}");
     let dir = std::env::temp_dir().join(format!("evoforecast_protocol_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("short_coefficients.json");
-    TrainedModel::new(
-        common::spec(),
-        RuleSetPredictor::with_all_rules(rules),
-        ModelMetadata::default(),
-    )
-    .save_json_file(&path)
-    .unwrap();
+    std::fs::write(&path, json.replace(full, short)).unwrap();
 
     let config = ServerConfig::default();
     let workers = config.workers;
